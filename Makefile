@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short bench bench-json bench-sim bench-sweep bench-obs repro repro-verify sweep sweep-smoke sweep-spinvssuspend sweepd-smoke obs-smoke metrics-demo check check-smoke fuzz vet rtvet vet-alloc fmt lint cover clean
+.PHONY: all build test test-short bench bench-json bench-sim bench-sweep bench-obs perfbench perfbench-test repro repro-verify sweep sweep-smoke sweep-spinvssuspend sweepd-smoke obs-smoke metrics-demo check check-smoke fuzz vet rtvet vet-alloc fmt lint cover clean
 
 all: build test
 
@@ -26,6 +26,15 @@ bench-json:
 # sparse workload (benchstat-comparable; docs/simulator.md).
 bench-sim:
 	$(GO) test -json -bench 'BenchmarkSimulateHyperperiodMPCP(Reference|Sparse|SparseReference)?$$' -benchtime=2s -run '^$$' . > BENCH_sim.json
+
+# Campaign-point benchmark (perfbench/README.md): per-layer self time
+# and allocations of one traced analysis-wide run. The harness is a
+# module of its own, so its tests run from its directory.
+perfbench:
+	bash perfbench/run.sh --workload analysis-wide --seed 1 --trace 1
+
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # Full acceptance-ratio campaign (MPCP vs DPCP vs hybrid), resumable.
 sweep:

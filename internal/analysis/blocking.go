@@ -134,12 +134,8 @@ func Bounds(sys *task.System, opts Options) (map[task.ID]*Bound, error) {
 	if opts.Kind == 0 {
 		opts.Kind = KindMPCP
 	}
-	for _, t := range sys.Tasks {
-		for _, cs := range sys.CriticalSections(t.ID) {
-			if cs.Global && (cs.Nested || !cs.Outermost) {
-				return nil, fmt.Errorf("%w: task %d semaphore %d", ErrNestedGlobal, t.ID, cs.Sem)
-			}
-		}
+	if cs := sys.NestedGlobal(); cs != nil {
+		return nil, fmt.Errorf("%w: task %d semaphore %d", ErrNestedGlobal, cs.Task, cs.Sem)
 	}
 	switch opts.Kind {
 	case KindMPCP:
@@ -173,6 +169,22 @@ func interferes(w int, tj *task.Task) int {
 // every registered analysis shares the same jitter-aware arrival curve
 // and inherits its monotonicity property.
 func Interferes(w int, tj *task.Task) int { return interferes(w, tj) }
+
+// LongestGcs returns, per processor q and semaphore s, the longest
+// outermost global critical section on s issued from q: the per-processor
+// queue entry of the spin-lock analyses (internal/msrp, internal/fmlp).
+func LongestGcs(sys *task.System) map[task.ProcID]map[task.SemID]int {
+	out := make(map[task.ProcID]map[task.SemID]int)
+	for _, t := range sys.Tasks {
+		for _, cs := range sys.GlobalSections(t.ID) {
+			if out[t.Proc] == nil {
+				out[t.Proc] = make(map[task.SemID]int)
+			}
+			out[t.Proc][cs.Sem] = max(out[t.Proc][cs.Sem], cs.Duration)
+		}
+	}
+	return out
+}
 
 // mpcpBounds implements the five factors of Section 5.1.
 func mpcpBounds(sys *task.System, opts Options) map[task.ID]*Bound {
@@ -336,10 +348,7 @@ func dpcpAssign(sys *task.System, explicit map[task.SemID]task.ProcID) map[task.
 			out[sem.ID] = p
 			continue
 		}
-		procs := sys.AccessorProcs(sem.ID)
-		if len(procs) > 0 {
-			out[sem.ID] = procs[0]
-		}
+		out[sem.ID] = sys.AccessorProcs(sem.ID)[0] // a global semaphore has two or more
 	}
 	return out
 }
@@ -349,6 +358,7 @@ func dpcpAssign(sys *task.System, explicit map[task.SemID]task.ProcID) map[task.
 // gcs executes at the global ceiling of its semaphore.
 func dpcpBounds(sys *task.System, opts Options) map[task.ID]*Bound {
 	assign := dpcpAssign(sys, opts.DPCPAssign)
+	tbl := ceiling.Compute(sys, true)
 	out := make(map[task.ID]*Bound, len(sys.Tasks))
 
 	// gcs's grouped by synchronization processor.
@@ -373,7 +383,6 @@ func dpcpBounds(sys *task.System, opts Options) map[task.ID]*Bound {
 		}
 
 		// Factor 1: identical local PCP blocking.
-		tbl := ceiling.Compute(sys, true)
 		maxLcs := 0
 		for _, tk := range sys.TasksOn(ti.Proc) {
 			if tk.Priority >= ti.Priority {

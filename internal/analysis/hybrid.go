@@ -35,12 +35,8 @@ func HybridBounds(sys *task.System, opts HybridOptions) (map[task.ID]*Bound, err
 	if !sys.Validated() {
 		return nil, ErrNotValidated
 	}
-	for _, t := range sys.Tasks {
-		for _, cs := range sys.CriticalSections(t.ID) {
-			if cs.Global && (cs.Nested || !cs.Outermost) {
-				return nil, fmt.Errorf("%w: task %d semaphore %d", ErrNestedGlobal, t.ID, cs.Sem)
-			}
-		}
+	if cs := sys.NestedGlobal(); cs != nil {
+		return nil, fmt.Errorf("%w: task %d semaphore %d", ErrNestedGlobal, cs.Task, cs.Sem)
 	}
 	tbl := ceiling.Compute(sys, false)
 	assign := dpcpAssign(sys, opts.Assign)

@@ -623,17 +623,7 @@ func defaultDPCPAssign(sys *task.System) map[task.SemID]task.ProcID {
 	out := make(map[task.SemID]task.ProcID)
 	for _, t := range sys.Tasks {
 		for _, cs := range sys.GlobalSections(t.ID) {
-			procs := sys.AccessorProcs(cs.Sem)
-			if len(procs) == 0 {
-				continue
-			}
-			min := procs[0]
-			for _, p := range procs[1:] {
-				if p < min {
-					min = p
-				}
-			}
-			out[cs.Sem] = min
+			out[cs.Sem] = sys.AccessorProcs(cs.Sem)[0] // ascending, never empty for a global semaphore
 		}
 	}
 	return out

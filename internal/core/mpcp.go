@@ -127,14 +127,8 @@ func (p *Protocol) Init(e *sim.Engine) error {
 		}
 	}
 
-	if !p.opts.AllowNestedGlobal {
-		for _, t := range sys.Tasks {
-			for _, cs := range sys.CriticalSections(t.ID) {
-				if cs.Global && (cs.Nested || !cs.Outermost) {
-					return fmt.Errorf("core: task %d has a nested global critical section on semaphore %d; enable AllowNestedGlobal", t.ID, cs.Sem)
-				}
-			}
-		}
+	if cs := sys.NestedGlobal(); cs != nil && !p.opts.AllowNestedGlobal {
+		return fmt.Errorf("core: task %d has a nested global critical section on semaphore %d; enable AllowNestedGlobal", cs.Task, cs.Sem)
 	}
 
 	p.locals = make(map[task.ProcID]*pcp.Local, sys.NumProcs)

@@ -70,9 +70,6 @@ func (p *Protocol) Init(e *sim.Engine) error {
 		if !sem.Global {
 			continue
 		}
-		if len(sys.TasksUsing(sem.ID)) == 0 {
-			continue
-		}
 		p.gsems[sem.ID] = &gsem{}
 		if proc, ok := p.opts.Assign[sem.ID]; ok {
 			if int(proc) >= sys.NumProcs || proc < 0 {
@@ -85,14 +82,11 @@ func (p *Protocol) Init(e *sim.Engine) error {
 		}
 	}
 
+	if cs := sys.NestedGlobal(); cs != nil {
+		return fmt.Errorf("dpcp: task %d has a nested global critical section on semaphore %d", cs.Task, cs.Sem)
+	}
 	for _, t := range sys.Tasks {
-		for _, cs := range sys.CriticalSections(t.ID) {
-			if !cs.Global {
-				continue
-			}
-			if cs.Nested || !cs.Outermost {
-				return fmt.Errorf("dpcp: task %d has a nested global critical section on semaphore %d", t.ID, cs.Sem)
-			}
+		for _, cs := range sys.GlobalSections(t.ID) {
 			p.csAt[csKey{task: t.ID, start: cs.StartSeg}] = cs
 		}
 	}

@@ -43,12 +43,8 @@ func Bounds(sys *task.System, shortMax int, deferredPenalty bool) (map[task.ID]*
 	if !sys.Validated() {
 		return nil, analysis.ErrNotValidated
 	}
-	for _, t := range sys.Tasks {
-		for _, cs := range sys.CriticalSections(t.ID) {
-			if cs.Global && (cs.Nested || !cs.Outermost) {
-				return nil, fmt.Errorf("%w: task %d semaphore %d", analysis.ErrNestedGlobal, t.ID, cs.Sem)
-			}
-		}
+	if cs := sys.NestedGlobal(); cs != nil {
+		return nil, fmt.Errorf("%w: task %d semaphore %d", analysis.ErrNestedGlobal, cs.Task, cs.Sem)
 	}
 	if shortMax == 0 {
 		shortMax = DefaultShortMax
@@ -58,21 +54,7 @@ func Bounds(sys *task.System, shortMax int, deferredPenalty bool) (map[task.ID]*
 	tbl := ceiling.Compute(sys, false)
 	out := make(map[task.ID]*analysis.Bound, len(sys.Tasks))
 
-	// maxDur[q][s]: longest global critical section on semaphore s
-	// issued from processor q.
-	maxDur := make(map[task.ProcID]map[task.SemID]int)
-	for _, t := range sys.Tasks {
-		for _, cs := range sys.GlobalSections(t.ID) {
-			m := maxDur[t.Proc]
-			if m == nil {
-				m = make(map[task.SemID]int)
-				maxDur[t.Proc] = m
-			}
-			if cs.Duration > m[cs.Sem] {
-				m[cs.Sem] = cs.Duration
-			}
-		}
-	}
+	maxDur := analysis.LongestGcs(sys)
 	// rawSpin: busy-wait for one short request on s from proc, not
 	// counting grant delays — one critical section per other processor.
 	rawSpin := func(proc task.ProcID, s task.SemID) int {

@@ -113,12 +113,8 @@ func (p *Protocol) Init(e *sim.Engine) error {
 	p.npPrio = p.tbl.PG + p.tbl.PH + 1
 	p.prev = make(map[*sim.Job]int)
 	p.boosted = make(map[*sim.Job]bool)
-	for _, t := range sys.Tasks {
-		for _, cs := range sys.CriticalSections(t.ID) {
-			if cs.Global && (cs.Nested || !cs.Outermost) {
-				return fmt.Errorf("fmlp: task %d has a nested global critical section on semaphore %d; FMLP+ requires non-nested global sections", t.ID, cs.Sem)
-			}
-		}
+	if cs := sys.NestedGlobal(); cs != nil {
+		return fmt.Errorf("fmlp: task %d has a nested global critical section on semaphore %d; FMLP+ requires non-nested global sections", cs.Task, cs.Sem)
 	}
 	_, long := Split(sys, p.opts.ShortMax)
 	p.gsems = make(map[task.SemID]*gsem)

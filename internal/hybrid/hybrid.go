@@ -96,14 +96,11 @@ func (p *Protocol) Init(e *sim.Engine) error {
 		p.remote[sem.ID] = &remoteSem{proc: proc}
 	}
 
+	if cs := sys.NestedGlobal(); cs != nil {
+		return fmt.Errorf("hybrid: task %d has a nested global critical section on semaphore %d", cs.Task, cs.Sem)
+	}
 	for _, t := range sys.Tasks {
-		for _, cs := range sys.CriticalSections(t.ID) {
-			if !cs.Global {
-				continue
-			}
-			if cs.Nested || !cs.Outermost {
-				return fmt.Errorf("hybrid: task %d has a nested global critical section on semaphore %d", t.ID, cs.Sem)
-			}
+		for _, cs := range sys.GlobalSections(t.ID) {
 			p.csAt[csKey{task: t.ID, start: cs.StartSeg}] = cs
 		}
 	}

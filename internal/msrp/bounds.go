@@ -42,32 +42,14 @@ func Bounds(sys *task.System) (map[task.ID]*analysis.Bound, error) {
 	if !sys.Validated() {
 		return nil, analysis.ErrNotValidated
 	}
-	for _, t := range sys.Tasks {
-		for _, cs := range sys.CriticalSections(t.ID) {
-			if cs.Global && (cs.Nested || !cs.Outermost) {
-				return nil, fmt.Errorf("%w: task %d semaphore %d", analysis.ErrNestedGlobal, t.ID, cs.Sem)
-			}
-		}
+	if cs := sys.NestedGlobal(); cs != nil {
+		return nil, fmt.Errorf("%w: task %d semaphore %d", analysis.ErrNestedGlobal, cs.Task, cs.Sem)
 	}
 
 	tbl := ceiling.Compute(sys, false)
 	out := make(map[task.ID]*analysis.Bound, len(sys.Tasks))
 
-	// maxDur[q][s]: longest global critical section on semaphore s
-	// issued from processor q.
-	maxDur := make(map[task.ProcID]map[task.SemID]int)
-	for _, t := range sys.Tasks {
-		for _, cs := range sys.GlobalSections(t.ID) {
-			m := maxDur[t.Proc]
-			if m == nil {
-				m = make(map[task.SemID]int)
-				maxDur[t.Proc] = m
-			}
-			if cs.Duration > m[cs.Sem] {
-				m[cs.Sem] = cs.Duration
-			}
-		}
-	}
+	maxDur := analysis.LongestGcs(sys)
 	// spinReq(t, s): worst-case busy-wait of one request by task t on
 	// semaphore s — one critical section per other processor, FIFO.
 	spinReq := func(t *task.Task, s task.SemID) int {

@@ -72,12 +72,8 @@ func (p *Protocol) Init(e *sim.Engine) error {
 			p.gsems[sem.ID] = &gsem{}
 		}
 	}
-	for _, t := range sys.Tasks {
-		for _, cs := range sys.CriticalSections(t.ID) {
-			if cs.Global && (cs.Nested || !cs.Outermost) {
-				return fmt.Errorf("msrp: task %d has a nested global critical section on semaphore %d; MSRP requires non-nested global sections", t.ID, cs.Sem)
-			}
-		}
+	if cs := sys.NestedGlobal(); cs != nil {
+		return fmt.Errorf("msrp: task %d has a nested global critical section on semaphore %d; MSRP requires non-nested global sections", cs.Task, cs.Sem)
 	}
 	p.locals = make(map[task.ProcID]*pcp.Local, sys.NumProcs)
 	for i := 0; i < sys.NumProcs; i++ {

@@ -184,12 +184,8 @@ func Attribute(l *trace.Log, sys *task.System, endTick int) (*Report, error) {
 	if !sys.Validated() {
 		return nil, analysis.ErrNotValidated
 	}
-	for _, t := range sys.Tasks {
-		for _, cs := range sys.CriticalSections(t.ID) {
-			if cs.Global && (cs.Nested || !cs.Outermost) {
-				return nil, fmt.Errorf("%w: task %d semaphore %d", analysis.ErrNestedGlobal, t.ID, cs.Sem)
-			}
-		}
+	if cs := sys.NestedGlobal(); cs != nil {
+		return nil, fmt.Errorf("%w: task %d semaphore %d", analysis.ErrNestedGlobal, cs.Task, cs.Sem)
 	}
 	if endTick < 0 {
 		return nil, fmt.Errorf("obs: negative end tick %d", endTick)

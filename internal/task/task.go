@@ -7,9 +7,10 @@
 package task
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // ID identifies a task within a System.
@@ -181,9 +182,55 @@ type System struct {
 	ReleaseSeed int64
 
 	// Derived by Validate:
-	csByTask  map[ID][]CriticalSection
-	accessBy  map[SemID]map[ProcID]bool
+	idx       index
 	validated bool
+}
+
+// index is the structure Validate compiles once: every derived lookup
+// below returns one of its slices without copying. Each slice is clipped
+// to its length, so an append by a caller copies rather than overwriting
+// its neighbour in the shared backing array.
+type index struct {
+	taskPos   map[ID]int       // position in Tasks
+	semPos    map[SemID]int    // position in Sems
+	tasks     []taskIndex      // parallel to Tasks
+	users     [][]*Task        // parallel to Sems, descending priority
+	accessors [][]ProcID       // parallel to Sems, ascending
+	procPos   map[ProcID]int   // position in onProc
+	onProc    [][]*Task        // per processor, descending priority
+	nested    *CriticalSection // first nested global section, or nil
+}
+
+type taskIndex struct {
+	all    []CriticalSection // every section, in the order of its V(S)
+	global []CriticalSection // outermost global sections
+	local  []CriticalSection // local sections
+}
+
+func (x *index) task(id ID) taskIndex {
+	if i, ok := x.taskPos[id]; ok {
+		return x.tasks[i]
+	}
+	return taskIndex{}
+}
+
+func (x *index) sem(id SemID) (users []*Task, accessors []ProcID) {
+	if k, ok := x.semPos[id]; ok {
+		return x.users[k], x.accessors[k]
+	}
+	return nil, nil
+}
+
+// carve returns one empty slice per count, all sharing one backing array
+// of total elements, slice k with capacity counts[k], so appends fill
+// them in place.
+func carve[E any](counts []int, total int) [][]E {
+	backing := make([]E, total)
+	out := make([][]E, len(counts))
+	for k, n := range counts {
+		out[k], backing = backing[:0:n], backing[n:]
+	}
+	return out
 }
 
 // NewSystem returns an empty system with the given number of processors.
@@ -202,20 +249,9 @@ func (s *System) Clone(numProcs int) *System {
 		out.AddSem(&Semaphore{ID: sem.ID, Name: sem.Name})
 	}
 	for _, t := range s.Tasks {
-		body := make([]Segment, len(t.Body))
-		copy(body, t.Body)
-		out.AddTask(&Task{
-			ID:              t.ID,
-			Name:            t.Name,
-			Proc:            t.Proc,
-			Period:          t.Period,
-			Deadline:        t.Deadline,
-			Offset:          t.Offset,
-			Priority:        t.Priority,
-			Body:            body,
-			MinInterarrival: t.MinInterarrival,
-			Jitter:          t.Jitter,
-		})
+		cp := *t
+		cp.Body = append([]Segment{}, t.Body...)
+		out.AddTask(&cp)
 	}
 	return out
 }
@@ -296,13 +332,14 @@ func (s *System) Validate(opts ValidateOptions) error {
 		return ErrNoTasks
 	}
 
-	seenTask := make(map[ID]bool, len(s.Tasks))
+	taskPos := make(map[ID]int, len(s.Tasks))
 	seenPrio := make(map[int]ID, len(s.Tasks))
-	for _, t := range s.Tasks {
-		if seenTask[t.ID] {
+	procPos := make(map[ProcID]int, min(s.NumProcs, len(s.Tasks)))
+	for i, t := range s.Tasks {
+		if _, dup := taskPos[t.ID]; dup {
 			return fmt.Errorf("%w: %d", ErrDuplicateTaskID, t.ID)
 		}
-		seenTask[t.ID] = true
+		taskPos[t.ID] = i
 		if other, dup := seenPrio[t.Priority]; dup {
 			return fmt.Errorf("%w: tasks %d and %d share priority %d",
 				ErrDuplicatePriority, other, t.ID, t.Priority)
@@ -314,6 +351,9 @@ func (s *System) Validate(opts ValidateOptions) error {
 		}
 		if t.Period <= 0 {
 			return fmt.Errorf("%w: task %d", ErrBadPeriod, t.ID)
+		}
+		if _, ok := procPos[t.Proc]; !ok {
+			procPos[t.Proc] = len(procPos)
 		}
 	}
 
@@ -345,47 +385,104 @@ func (s *System) Validate(opts ValidateOptions) error {
 		}
 	}
 
-	seenSem := make(map[SemID]*Semaphore, len(s.Sems))
-	for _, sem := range s.Sems {
-		if seenSem[sem.ID] != nil {
+	semPos := make(map[SemID]int, len(s.Sems))
+	for k, sem := range s.Sems {
+		if _, dup := semPos[sem.ID]; dup {
 			return fmt.Errorf("%w: %d", ErrDuplicateSemID, sem.ID)
 		}
-		seenSem[sem.ID] = sem
+		semPos[sem.ID] = k
 	}
 
-	// Derive which processors access each semaphore.
-	s.accessBy = make(map[SemID]map[ProcID]bool, len(s.Sems))
+	// Count the P(S) operations per semaphore and the tasks per
+	// processor: they size every table of the index.
+	locks, perProc := make([]int, len(s.Sems)), make([]int, len(procPos))
+	nSecs := 0
 	for _, t := range s.Tasks {
+		perProc[procPos[t.Proc]]++
 		for _, seg := range t.Body {
 			if seg.Kind != SegLock && seg.Kind != SegUnlock {
 				continue
 			}
-			if seenSem[seg.Sem] == nil {
+			k, ok := semPos[seg.Sem]
+			if !ok {
 				return fmt.Errorf("%w: task %d, semaphore %d",
 					ErrUnknownSemaphore, t.ID, seg.Sem)
 			}
-			procs := s.accessBy[seg.Sem]
-			if procs == nil {
-				procs = make(map[ProcID]bool, 2)
-				s.accessBy[seg.Sem] = procs
+			if seg.Kind == SegLock {
+				locks[k]++
+				nSecs++
 			}
-			procs[t.Proc] = true
 		}
 	}
-	for _, sem := range s.Sems {
-		sem.Global = len(s.accessBy[sem.ID]) > 1
+
+	// Visiting tasks by descending priority fills each processor's task
+	// list and each semaphore's users in that order. A semaphore's
+	// accessors are its users' processors, and more than one makes it
+	// global (Section 4.2).
+	byPrio := slices.Clone(s.Tasks)
+	slices.SortFunc(byPrio, func(a, b *Task) int { return cmp.Compare(b.Priority, a.Priority) })
+	idx := index{
+		taskPos:   taskPos,
+		semPos:    semPos,
+		procPos:   procPos,
+		tasks:     make([]taskIndex, len(s.Tasks)),
+		onProc:    carve[*Task](perProc, len(s.Tasks)),
+		users:     carve[*Task](locks, nSecs),
+		accessors: carve[ProcID](locks, nSecs),
+	}
+	for _, t := range byPrio {
+		on := &idx.onProc[procPos[t.Proc]]
+		*on = append(*on, t)
+		for _, seg := range t.Body {
+			if seg.Kind != SegLock {
+				continue
+			}
+			k := semPos[seg.Sem]
+			if u := idx.users[k]; len(u) == 0 || u[len(u)-1] != t {
+				idx.users[k] = append(u, t)
+			}
+		}
+	}
+	for k, sem := range s.Sems {
+		for _, u := range idx.users[k] {
+			idx.accessors[k] = append(idx.accessors[k], u.Proc)
+		}
+		slices.Sort(idx.accessors[k])
+		idx.users[k], idx.accessors[k] = slices.Clip(idx.users[k]), slices.Clip(slices.Compact(idx.accessors[k]))
+		sem.Global = len(idx.accessors[k]) > 1
 	}
 
-	// Walk each body: match lock/unlock, extract critical sections.
-	s.csByTask = make(map[ID][]CriticalSection, len(s.Tasks))
-	for _, t := range s.Tasks {
-		css, err := extractCriticalSections(t, seenSem, opts)
-		if err != nil {
+	// Walk each body: match lock/unlock, extract critical sections, then
+	// file each task's outermost global and local sections. Every table
+	// is a window of one backing array sized by nSecs.
+	all, secs := make([]CriticalSection, 0, nSecs), make([]CriticalSection, 0, nSecs)
+	pack := func(css []CriticalSection, keep func(CriticalSection) bool) []CriticalSection {
+		lo := len(secs)
+		for _, cs := range css {
+			if keep(cs) {
+				secs = append(secs, cs)
+			}
+		}
+		return slices.Clip(secs[lo:])
+	}
+	for i, t := range s.Tasks {
+		lo := len(all)
+		var err error
+		if all, err = extractCriticalSections(all, t, s.Sems, semPos, opts); err != nil {
 			return err
 		}
-		s.csByTask[t.ID] = css
+		css := slices.Clip(all[lo:])
+		if k := slices.IndexFunc(css, isNestedGlobal); k >= 0 && idx.nested == nil {
+			idx.nested = &css[k]
+		}
+		idx.tasks[i] = taskIndex{
+			all:    css,
+			global: pack(css, func(cs CriticalSection) bool { return cs.Global && cs.Outermost }),
+			local:  pack(css, func(cs CriticalSection) bool { return !cs.Global }),
+		}
 	}
 
+	s.idx = idx
 	s.validated = true
 	return nil
 }
@@ -397,12 +494,12 @@ type openCS struct {
 	nested   bool
 }
 
-func extractCriticalSections(t *Task, sems map[SemID]*Semaphore, opts ValidateOptions) ([]CriticalSection, error) {
-	var (
-		stack []openCS
-		out   []CriticalSection
-	)
-	held := make(map[SemID]bool)
+// extractCriticalSections appends task t's critical sections to out, in
+// the order their V(S) operations appear.
+func extractCriticalSections(out []CriticalSection, t *Task, sems []*Semaphore, semPos map[SemID]int,
+	opts ValidateOptions) ([]CriticalSection, error) {
+	var buf [4]openCS
+	stack := buf[:0]
 	for i, seg := range t.Body {
 		switch seg.Kind {
 		case SegCompute:
@@ -413,12 +510,12 @@ func extractCriticalSections(t *Task, sems map[SemID]*Semaphore, opts ValidateOp
 				stack[k].duration += seg.Duration
 			}
 		case SegLock:
-			if held[seg.Sem] {
+			if slices.ContainsFunc(stack, func(o openCS) bool { return o.sem == seg.Sem }) {
 				return nil, fmt.Errorf("%w: task %d, semaphore %d", ErrSelfDeadlock, t.ID, seg.Sem)
 			}
 			if !opts.AllowNestedGlobal && len(stack) > 0 {
-				inner := sems[seg.Sem].Global
-				outer := sems[stack[len(stack)-1].sem].Global
+				inner := sems[semPos[seg.Sem]].Global
+				outer := sems[semPos[stack[len(stack)-1].sem]].Global
 				if inner || outer {
 					return nil, fmt.Errorf("%w: task %d, semaphore %d inside %d",
 						ErrNestedGlobal, t.ID, seg.Sem, stack[len(stack)-1].sem)
@@ -427,7 +524,6 @@ func extractCriticalSections(t *Task, sems map[SemID]*Semaphore, opts ValidateOp
 			if len(stack) > 0 {
 				stack[len(stack)-1].nested = true
 			}
-			held[seg.Sem] = true
 			stack = append(stack, openCS{sem: seg.Sem, startSeg: i})
 		case SegUnlock:
 			if len(stack) == 0 || stack[len(stack)-1].sem != seg.Sem {
@@ -436,14 +532,13 @@ func extractCriticalSections(t *Task, sems map[SemID]*Semaphore, opts ValidateOp
 			}
 			top := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			held[seg.Sem] = false
 			out = append(out, CriticalSection{
 				Task:      t.ID,
 				Sem:       top.sem,
 				Duration:  top.duration,
 				Outermost: len(stack) == 0,
 				Nested:    top.nested,
-				Global:    sems[top.sem].Global,
+				Global:    sems[semPos[top.sem]].Global,
 				StartSeg:  top.startSeg,
 				EndSeg:    i,
 			})
@@ -463,69 +558,51 @@ func (s *System) Validated() bool { return s.validated }
 // CriticalSections returns the critical sections of task id, in body order.
 // The System must have been validated.
 func (s *System) CriticalSections(id ID) []CriticalSection {
-	return s.csByTask[id]
+	return s.idx.task(id).all
 }
 
-// GlobalSections returns the outermost global critical sections of task id.
-func (s *System) GlobalSections(id ID) []CriticalSection {
-	var out []CriticalSection
-	for _, cs := range s.csByTask[id] {
-		if cs.Global && cs.Outermost {
-			out = append(out, cs)
-		}
-	}
-	return out
-}
+// NestedGlobal returns the first global critical section, in task order,
+// that nests or is nested in another section, or nil. Only a System
+// validated with AllowNestedGlobal has one. The System must have been
+// validated; the section is shared and must not be modified.
+func (s *System) NestedGlobal() *CriticalSection { return s.idx.nested }
+
+func isNestedGlobal(cs CriticalSection) bool { return cs.Global && (cs.Nested || !cs.Outermost) }
+
+// GlobalSections returns the outermost global critical sections of task
+// id, in body order. The System must have been validated; the returned
+// slice is shared and must not be modified.
+func (s *System) GlobalSections(id ID) []CriticalSection { return s.idx.task(id).global }
 
 // LocalSections returns the critical sections of task id that are guarded
-// by local semaphores.
-func (s *System) LocalSections(id ID) []CriticalSection {
-	var out []CriticalSection
-	for _, cs := range s.csByTask[id] {
-		if !cs.Global {
-			out = append(out, cs)
-		}
-	}
-	return out
-}
+// by local semaphores, in body order. The System must have been
+// validated; the returned slice is shared and must not be modified.
+func (s *System) LocalSections(id ID) []CriticalSection { return s.idx.task(id).local }
 
-// AccessorProcs returns the processors from which semaphore id is accessed.
+// AccessorProcs returns the processors from which semaphore id is
+// accessed, in ascending order. The System must have been validated; the
+// returned slice is shared and must not be modified.
 func (s *System) AccessorProcs(id SemID) []ProcID {
-	procs := make([]ProcID, 0, len(s.accessBy[id]))
-	for p := range s.accessBy[id] {
-		procs = append(procs, p)
-	}
-	sort.Slice(procs, func(i, j int) bool { return procs[i] < procs[j] })
-	return procs
+	_, accessors := s.idx.sem(id)
+	return accessors
 }
 
 // TasksUsing returns the tasks that access semaphore id, sorted by
-// descending priority.
+// descending priority. The System must have been validated; the returned
+// slice is shared and must not be modified.
 func (s *System) TasksUsing(id SemID) []*Task {
-	var out []*Task
-	for _, t := range s.Tasks {
-		for _, cs := range s.csByTask[t.ID] {
-			if cs.Sem == id {
-				out = append(out, t)
-				break
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Priority > out[j].Priority })
-	return out
+	users, _ := s.idx.sem(id)
+	return users
 }
 
 // TasksOn returns the tasks bound to processor p, sorted by descending
-// priority.
+// priority. The System must have been validated; the returned slice is
+// shared and must not be modified.
 func (s *System) TasksOn(p ProcID) []*Task {
-	var out []*Task
-	for _, t := range s.Tasks {
-		if t.Proc == p {
-			out = append(out, t)
-		}
+	if i, ok := s.idx.procPos[p]; ok {
+		return s.idx.onProc[i]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Priority > out[j].Priority })
-	return out
+	return nil
 }
 
 // HighestPriority returns P_H, the highest base priority assigned to any
@@ -616,34 +693,20 @@ func lcm(a, b int) int {
 // rate-monotonic rule of [6]: shorter period means higher priority. Ties on
 // period are broken by task ID (lower ID wins) so the assignment is
 // deterministic. Priorities are 1..n with n = highest.
-func AssignRateMonotonic(s *System) {
-	order := make([]*Task, len(s.Tasks))
-	copy(order, s.Tasks)
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].Period != order[j].Period {
-			return order[i].Period > order[j].Period // longest period = lowest priority
-		}
-		return order[i].ID > order[j].ID
-	})
-	for i, t := range order {
-		t.Priority = i + 1
-	}
-	s.validated = false
-}
+func AssignRateMonotonic(s *System) { assignMonotonic(s, func(t *Task) int { return t.Period }) }
 
 // AssignDeadlineMonotonic assigns distinct base priorities by relative
 // deadline: shorter deadline means higher priority (optimal for static
 // priorities when deadlines may be shorter than periods). Ties break by
 // task ID. Priorities are 1..n with n = highest.
-func AssignDeadlineMonotonic(s *System) {
-	order := make([]*Task, len(s.Tasks))
-	copy(order, s.Tasks)
-	sort.Slice(order, func(i, j int) bool {
-		di, dj := order[i].RelativeDeadline(), order[j].RelativeDeadline()
-		if di != dj {
-			return di > dj // longest deadline = lowest priority
-		}
-		return order[i].ID > order[j].ID
+func AssignDeadlineMonotonic(s *System) { assignMonotonic(s, (*Task).RelativeDeadline) }
+
+// assignMonotonic assigns priorities 1..n so that a smaller key means a
+// higher priority, ties broken by task ID (lower ID wins).
+func assignMonotonic(s *System, key func(*Task) int) {
+	order := slices.Clone(s.Tasks)
+	slices.SortFunc(order, func(a, b *Task) int { // largest key = lowest priority
+		return cmp.Or(cmp.Compare(key(b), key(a)), cmp.Compare(b.ID, a.ID))
 	})
 	for i, t := range order {
 		t.Priority = i + 1
