@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short bench bench-json bench-sim bench-sweep bench-obs perfbench perfbench-test repro repro-verify sweep sweep-smoke sweep-spinvssuspend sweepd-smoke obs-smoke metrics-demo check check-smoke fuzz vet rtvet vet-alloc fmt lint cover clean
+.PHONY: all build test test-short bench bench-json bench-sim bench-sweep bench-obs perfbench perfbench-test perfbench-sim repro repro-verify sweep sweep-smoke sweep-spinvssuspend sweepd-smoke obs-smoke metrics-demo check check-smoke fuzz vet rtvet vet-alloc fmt lint cover clean
 
 all: build test
 
@@ -35,6 +35,11 @@ perfbench:
 
 perfbench-test:
 	cd perfbench && $(GO) test ./...
+
+# The same per-layer view for the simulator: one traced sim-dense run
+# (sim.run self time, allocs/call, ns/tick; docs/simulator.md).
+perfbench-sim:
+	bash perfbench/run.sh --workload sim-dense --seed 1 --trace 1
 
 # Full acceptance-ratio campaign (MPCP vs DPCP vs hybrid), resumable.
 sweep:

@@ -59,9 +59,9 @@ func Bounds(sys *task.System, shortMax int, deferredPenalty bool) (map[task.ID]*
 	// counting grant delays — one critical section per other processor.
 	rawSpin := func(proc task.ProcID, s task.SemID) int {
 		total := 0
-		for q, m := range maxDur {
+		for _, q := range sys.AccessorProcs(s) {
 			if q != proc {
-				total += m[s]
+				total += maxDur[q][s]
 			}
 		}
 		return total
@@ -84,9 +84,9 @@ func Bounds(sys *task.System, shortMax int, deferredPenalty bool) (map[task.ID]*
 	// global semaphore accessed from q.
 	grantDelay := func(q task.ProcID, s task.SemID) int {
 		total := 0
-		for s2 := range maxDur[q] {
-			if s2 != s {
-				total += npSpan(q, s2)
+		for _, s2 := range sys.Sems {
+			if s2.ID != s {
+				total += npSpan(q, s2.ID)
 			}
 		}
 		return total
@@ -120,11 +120,11 @@ func Bounds(sys *task.System, shortMax int, deferredPenalty bool) (map[task.ID]*
 			if short[cs.Sem] {
 				// Factor 3 slot: FIFO spin, one section plus grant
 				// delay per other processor.
-				for q, m := range maxDur {
-					if q == ti.Proc || m[cs.Sem] == 0 {
+				for _, q := range sys.AccessorProcs(cs.Sem) {
+					if q == ti.Proc || maxDur[q][cs.Sem] == 0 {
 						continue
 					}
-					b.RemotePreemption += m[cs.Sem] + grantDelay(q, cs.Sem)
+					b.RemotePreemption += maxDur[q][cs.Sem] + grantDelay(q, cs.Sem)
 				}
 				continue
 			}

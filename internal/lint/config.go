@@ -44,7 +44,11 @@ func (s Scoped) Applies(importPath string) bool {
 //     pool. The span tracer (internal/obs/span) is in scope because
 //     span *identity* must derive from stable keys; its single
 //     wall-clock read (span timestamps, presentation-only) carries an
-//     allow annotation.
+//     allow annotation. The protocol packages (proto, pcp, core, dpcp,
+//     hybrid, msrp, fmlp) are in scope too: their hooks run inside the
+//     simulator and decide wake order and FCFS sequence numbers, so a
+//     map range there reorders trace events, and their bounds feed the
+//     campaign verdicts.
 //   - lockdiscipline guards every package that holds a sync mutex near
 //     the substrate or its observers: shmem, pqueue, obs, server — and
 //     the dist coordinator, whose single mutex orders all job state.
@@ -81,6 +85,13 @@ func DefaultSuite() []Scoped {
 				"mpcp/internal/workload",
 				"mpcp/internal/dist",
 				"mpcp/internal/obs/span",
+				"mpcp/internal/proto",
+				"mpcp/internal/pcp",
+				"mpcp/internal/core",
+				"mpcp/internal/dpcp",
+				"mpcp/internal/hybrid",
+				"mpcp/internal/msrp",
+				"mpcp/internal/fmlp",
 			},
 		},
 		{

@@ -54,11 +54,11 @@ func Bounds(sys *task.System) (map[task.ID]*analysis.Bound, error) {
 	// semaphore s — one critical section per other processor, FIFO.
 	spinReq := func(t *task.Task, s task.SemID) int {
 		total := 0
-		for proc, m := range maxDur {
+		for _, proc := range sys.AccessorProcs(s) {
 			if proc == t.Proc {
 				continue
 			}
-			total += m[s]
+			total += maxDur[proc][s]
 		}
 		return total
 	}

@@ -13,6 +13,7 @@ package pcp
 
 import (
 	"fmt"
+	"slices"
 
 	"mpcp/internal/sim"
 	"mpcp/internal/task"
@@ -26,7 +27,15 @@ type Local struct {
 	ceil map[task.SemID]int
 
 	held      []heldSem
-	blockedBy map[*sim.Job]*sim.Job // blocked job -> holder that blocks it
+	blockedBy []blockPair // in the order the jobs blocked
+
+	// Recompute's working set, owned and reused across calls: jobs holds
+	// this processor's non-agent jobs followed by any other job a pair
+	// names (an agent holder, say), eff their effective priorities, and
+	// pairIx each pair as (blocked, holder) indices into both.
+	jobs   []*sim.Job
+	eff    []int
+	pairIx [][2]int
 
 	// setPrio applies a recomputed local effective priority; the owner
 	// decides whether it wins over other concerns (e.g. gcs priorities).
@@ -38,6 +47,11 @@ type heldSem struct {
 	holder *sim.Job
 }
 
+// blockPair records that blocked is ceiling-blocked behind holder.
+type blockPair struct {
+	blocked, holder *sim.Job
+}
+
 // NewLocal builds the per-processor PCP state for proc. Ceilings are the
 // priority of the highest-priority task that may lock each semaphore
 // (Section 4.4's definition for local semaphores). setPrio is invoked for
@@ -47,11 +61,13 @@ func NewLocal(sys *task.System, proc task.ProcID, setPrio func(e *sim.Engine, j 
 	if setPrio == nil {
 		setPrio = func(e *sim.Engine, j *sim.Job, prio int) { e.SetEffPrio(j, prio) }
 	}
+	n := len(sys.TasksOn(proc)) // one job per task in the common case
 	l := &Local{
-		proc:      proc,
-		ceil:      make(map[task.SemID]int),
-		blockedBy: make(map[*sim.Job]*sim.Job),
-		setPrio:   setPrio,
+		proc:    proc,
+		ceil:    make(map[task.SemID]int),
+		jobs:    make([]*sim.Job, 0, n),
+		eff:     make([]int, 0, n),
+		setPrio: setPrio,
 	}
 	for _, sem := range sys.Sems {
 		if sem.Global {
@@ -89,15 +105,27 @@ func (l *Local) TryLock(e *sim.Engine, j *sim.Job, s task.SemID) bool {
 		e.CompleteLock(j, s)
 		return true
 	}
-	l.blockedBy[j] = blocker
+	l.setBlocker(j, blocker)
 	e.BlockLocal(j, blockerSem)
 	l.Recompute(e)
 	return false
 }
 
-// Unlock releases s held by j, readies every locally blocked job so it can
-// re-attempt its request under the new ceiling, and recomputes
-// inheritance.
+// setBlocker records that j is blocked behind holder. A job already
+// recorded keeps its place in the block order.
+func (l *Local) setBlocker(j, holder *sim.Job) {
+	for i := range l.blockedBy {
+		if l.blockedBy[i].blocked == j {
+			l.blockedBy[i].holder = holder
+			return
+		}
+	}
+	l.blockedBy = append(l.blockedBy, blockPair{blocked: j, holder: holder})
+}
+
+// Unlock releases s held by j, readies every locally blocked job in the
+// order they blocked so each can re-attempt its request under the new
+// ceiling, and recomputes inheritance.
 func (l *Local) Unlock(e *sim.Engine, j *sim.Job, s task.SemID) {
 	for i := len(l.held) - 1; i >= 0; i-- {
 		if l.held[i].sem == s && l.held[i].holder == j {
@@ -105,10 +133,10 @@ func (l *Local) Unlock(e *sim.Engine, j *sim.Job, s task.SemID) {
 			break
 		}
 	}
-	for b := range l.blockedBy {
-		delete(l.blockedBy, b)
-		e.MakeReady(b) // re-attempts its Lock segment when scheduled
+	for _, bp := range l.blockedBy {
+		e.MakeReady(bp.blocked) // re-attempts its Lock segment when scheduled
 	}
+	l.blockedBy = l.blockedBy[:0]
 	l.Recompute(e)
 }
 
@@ -134,34 +162,61 @@ func (l *Local) highestCeilingHeldByOthers(j *sim.Job) (task.SemID, *sim.Job) {
 
 // Recompute reestablishes the transitive inheritance fixpoint among jobs
 // on this processor: a holder inherits the highest priority of the jobs it
-// blocks.
+// blocks. The fixpoint is the least one above the base priorities, so the
+// order pairs are relaxed in does not change it.
 func (l *Local) Recompute(e *sim.Engine) {
-	eff := make(map[*sim.Job]int)
-	var jobs []*sim.Job
-	for _, j := range e.ActiveJobs() {
-		if j.Proc != l.proc || j.IsAgent() {
+	l.jobs, l.eff = l.jobs[:0], l.eff[:0]
+	for _, j := range e.JobsOn(l.proc) {
+		if j.IsAgent() {
 			continue
 		}
-		jobs = append(jobs, j)
-		eff[j] = j.BasePrio
+		l.jobs = append(l.jobs, j)
+		l.eff = append(l.eff, j.BasePrio)
 	}
-	for changed := true; changed; {
-		changed = false
-		for blocked, holder := range l.blockedBy {
-			if eff[blocked] > eff[holder] {
-				eff[holder] = eff[blocked]
-				changed = true
+	local := len(l.jobs)
+	if len(l.blockedBy) > 0 {
+		l.pairIx = l.pairIx[:0]
+		for _, bp := range l.blockedBy {
+			l.pairIx = append(l.pairIx, [2]int{l.slot(bp.blocked), l.slot(bp.holder)})
+		}
+		for changed := true; changed; {
+			changed = false
+			for _, ix := range l.pairIx {
+				if l.eff[ix[0]] > l.eff[ix[1]] {
+					l.eff[ix[1]] = l.eff[ix[0]]
+					changed = true
+				}
 			}
 		}
 	}
-	for _, j := range jobs {
-		l.setPrio(e, j, eff[j])
+	for i, j := range l.jobs[:local] {
+		l.setPrio(e, j, l.eff[i])
 	}
+}
+
+// slot returns j's index in the working set, adding a scratch slot at
+// priority 0 for a job outside this processor's non-agent set: such a job
+// relays inheritance through the fixpoint but is never assigned a
+// priority here.
+func (l *Local) slot(j *sim.Job) int {
+	for i, k := range l.jobs {
+		if k == j {
+			return i
+		}
+	}
+	l.jobs = append(l.jobs, j)
+	l.eff = append(l.eff, 0)
+	return len(l.jobs) - 1
 }
 
 // DropJob clears any bookkeeping for a finished job.
 func (l *Local) DropJob(j *sim.Job) {
-	delete(l.blockedBy, j)
+	for i := range l.blockedBy {
+		if l.blockedBy[i].blocked == j {
+			l.blockedBy = slices.Delete(l.blockedBy, i, i+1)
+			return
+		}
+	}
 }
 
 // Protocol is standalone uniprocessor PCP: every semaphore must be local

@@ -1,6 +1,7 @@
 package pcp_test
 
 import (
+	"bytes"
 	"testing"
 
 	"mpcp/internal/pcp"
@@ -160,5 +161,26 @@ func TestBlockedAtMostOneCriticalSection(t *testing.T) {
 	res := run(t, sys, sim.Config{Horizon: 460})
 	if b := res.MaxMeasuredBlocking(1); b > 6 {
 		t.Errorf("τ1 blocked %d ticks, want <= 6 (one critical section)", b)
+	}
+}
+
+// TestTraceDeterministic runs classicPCP, where τ2 and τ1 are both
+// ceiling-blocked behind τ3, many times: τ3's unlock must wake them in the
+// order they blocked, so every run's trace is byte-identical.
+func TestTraceDeterministic(t *testing.T) {
+	sys := classicPCP(t)
+	var first []byte
+	for i := 0; i < 200; i++ {
+		log := trace.New()
+		run(t, sys, sim.Config{Horizon: 120, Trace: log})
+		var buf bytes.Buffer
+		if err := log.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = buf.Bytes()
+		} else if !bytes.Equal(buf.Bytes(), first) {
+			t.Fatalf("run %d: trace differs from run 0", i)
+		}
 	}
 }

@@ -7,6 +7,8 @@
 package proto
 
 import (
+	"slices"
+
 	"mpcp/internal/pqueue"
 	"mpcp/internal/sim"
 	"mpcp/internal/task"
@@ -110,9 +112,23 @@ func (p *None) OnFinish(e *sim.Engine, j *sim.Job) {}
 // arbitrary non-critical execution of higher-priority remote jobs.
 type Inherit struct {
 	sems map[task.SemID]*semState
-	// waitingOn maps a suspended job to the semaphore it waits for, so
-	// inheritance can be recomputed transitively.
-	waitingOn map[*sim.Job]task.SemID
+	// waiting lists every queued waiter with the semaphore it waits for,
+	// in the order they queued, so inheritance can be recomputed
+	// transitively. It holds exactly the jobs in the semaphore queues.
+	waiting []waiter
+
+	// recompute's working set, owned and reused across calls: jobs holds
+	// the active jobs followed by any other job an edge names, eff their
+	// effective priorities, and edges each (waiter, holder) pair as
+	// indices into both.
+	jobs  []*sim.Job
+	eff   []int
+	edges [][2]int
+}
+
+type waiter struct {
+	job *sim.Job
+	sem task.SemID
 }
 
 var _ sim.Protocol = (*Inherit)(nil)
@@ -129,7 +145,9 @@ func (p *Inherit) Init(e *sim.Engine) error {
 	for _, s := range e.Sys().Sems {
 		p.sems[s.ID] = &semState{}
 	}
-	p.waitingOn = make(map[*sim.Job]task.SemID)
+	p.waiting = nil
+	n := len(e.Sys().Tasks) // one active job per task in the common case
+	p.jobs, p.eff = make([]*sim.Job, 0, n), make([]int, 0, n)
 	return nil
 }
 
@@ -148,7 +166,7 @@ func (p *Inherit) TryLock(e *sim.Engine, j *sim.Job, s task.SemID) bool {
 		return true
 	}
 	st.waiters.Push(j, j.BasePrio)
-	p.waitingOn[j] = s
+	p.waiting = append(p.waiting, waiter{job: j, sem: s})
 	e.SuspendGlobal(j, s)
 	p.recompute(e)
 	return false
@@ -159,7 +177,7 @@ func (p *Inherit) Unlock(e *sim.Engine, j *sim.Job, s task.SemID) {
 	st := p.sems[s]
 	st.holder = nil
 	if next, ok := st.waiters.Pop(); ok {
-		delete(p.waitingOn, next)
+		p.dropWaiter(next)
 		st.holder = next
 		e.CompleteLock(next, s)
 		e.Grant(next, s, next.BasePrio)
@@ -172,33 +190,60 @@ func (p *Inherit) Unlock(e *sim.Engine, j *sim.Job, s task.SemID) {
 // overload-aborted jobs here, so the waiting record must be dropped: an
 // aborted waiter never reaches the Unlock that would have cleared it.
 func (p *Inherit) OnFinish(e *sim.Engine, j *sim.Job) {
-	delete(p.waitingOn, j)
+	p.dropWaiter(j)
 	p.recompute(e)
+}
+
+// dropWaiter removes j's waiting record, if any.
+func (p *Inherit) dropWaiter(j *sim.Job) {
+	for i := range p.waiting {
+		if p.waiting[i].job == j {
+			p.waiting = slices.Delete(p.waiting, i, i+1)
+			return
+		}
+	}
 }
 
 // recompute reestablishes the transitive inheritance fixpoint:
 // eff(j) = max(base(j), eff of every job waiting on a semaphore j holds).
+// The fixpoint is the least one above the base priorities, so the order
+// edges are relaxed in does not change it.
 func (p *Inherit) recompute(e *sim.Engine) {
-	jobs := e.ActiveJobs()
-	eff := make(map[*sim.Job]int, len(jobs))
-	for _, j := range jobs {
-		eff[j] = j.BasePrio
+	p.jobs, p.eff, p.edges = p.jobs[:0], p.eff[:0], p.edges[:0]
+	for _, j := range e.ActiveJobs() {
+		p.jobs = append(p.jobs, j)
+		p.eff = append(p.eff, j.BasePrio)
+	}
+	active := len(p.jobs)
+	for _, w := range p.waiting {
+		if h := p.sems[w.sem].holder; h != nil {
+			p.edges = append(p.edges, [2]int{p.slot(w.job), p.slot(h)})
+		}
 	}
 	for changed := true; changed; {
 		changed = false
-		for _, st := range p.sems {
-			if st.holder == nil {
-				continue
-			}
-			for _, w := range st.waiters.Items() {
-				if eff[w] > eff[st.holder] {
-					eff[st.holder] = eff[w]
-					changed = true
-				}
+		for _, ix := range p.edges {
+			if p.eff[ix[0]] > p.eff[ix[1]] {
+				p.eff[ix[1]] = p.eff[ix[0]]
+				changed = true
 			}
 		}
 	}
-	for _, j := range jobs {
-		e.SetEffPrio(j, eff[j])
+	for i, j := range p.jobs[:active] {
+		e.SetEffPrio(j, p.eff[i])
 	}
+}
+
+// slot returns j's index in the working set, adding a scratch slot at
+// priority 0 for a job outside the active set: it relays inheritance but
+// is never assigned a priority.
+func (p *Inherit) slot(j *sim.Job) int {
+	for i, k := range p.jobs {
+		if k == j {
+			return i
+		}
+	}
+	p.jobs = append(p.jobs, j)
+	p.eff = append(p.eff, 0)
+	return len(p.jobs) - 1
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mpcp/internal/registry"
+	"mpcp/internal/sim"
 	"mpcp/internal/workload"
 )
 
@@ -40,6 +41,46 @@ func TestAnalyzeAllocs(t *testing.T) {
 		})
 		if got > ceiling {
 			t.Errorf("%s: registry.Analyze allocates %v times per call, ceiling %v", name, got, ceiling)
+		}
+	}
+}
+
+// simulateAllocCeilings pins the allocations of one registry.New +
+// sim.New + Run on the same system, default horizon. Each ceiling is the
+// count measured with Go 1.24 plus about a quarter. The dispatcher scans
+// per-processor run lists and the inheritance fixpoints (pcp.Local for
+// the first five, proto.Inherit for inherit) reuse buffers they own, so
+// a map or slice built per unlock or per job finish exceeds its ceiling.
+var simulateAllocCeilings = map[string]float64{
+	"mpcp":    333, // measured 266
+	"dpcp":    374, // measured 299
+	"hybrid":  359, // measured 287
+	"msrp":    274, // measured 219
+	"fmlp":    278, // measured 222
+	"inherit": 234, // measured 187
+}
+
+func TestSimulateAllocs(t *testing.T) {
+	sys, err := workload.Generate(workload.Default(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"mpcp", "dpcp", "hybrid", "msrp", "fmlp", "inherit"} {
+		got := testing.AllocsPerRun(20, func() {
+			p, err := registry.New(name, registry.Opts{Sys: sys})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := sim.New(sys, p, sim.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if ceiling := simulateAllocCeilings[name]; got > ceiling {
+			t.Errorf("%s: simulation allocates %v times per run, ceiling %v", name, got, ceiling)
 		}
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"mpcp/internal/relq"
@@ -204,6 +205,9 @@ type Engine struct {
 	now      int
 	procs    []*Job      // running job per processor (nil = idle this tick)
 	active   []*Job      // released, unfinished jobs (including agents)
+	onProc   [][]*Job    // active partitioned by Proc, each in active order
+	picked   []*Job      // per processor, settle's pick in its final pass
+	segs     int         // total Body length over active (settle's limit)
 	releases relq.Queue  // calendar of pending releases, (time, task index)
 	rel      relq.Source // seed-keyed sporadic-gap and jitter draws
 	nextIdx  []int       // per-task next instance index
@@ -236,6 +240,8 @@ func New(sys *task.System, proto Protocol, cfg Config) (*Engine, error) {
 		proto:  proto,
 		cfg:    cfg,
 		procs:  make([]*Job, sys.NumProcs),
+		onProc: make([][]*Job, sys.NumProcs),
+		picked: make([]*Job, sys.NumProcs),
 		taskIx: make(map[task.ID]int, len(sys.Tasks)),
 		log:    log,
 		sink:   cfg.Sink,
@@ -248,8 +254,15 @@ func New(sys *task.System, proto Protocol, cfg Config) (*Engine, error) {
 			Trace:      log,
 		},
 	}
+	// The run lists share one backing array, each sized for one job per
+	// task bound there; a list that outgrows its share (an agent, or a
+	// job overrunning into its successor's release) is copied out by
+	// append.
+	lists := make([]*Job, len(sys.Tasks))
 	for i := range e.result.Procs {
 		e.result.Procs[i] = &ProcStats{}
+		n := len(sys.TasksOn(task.ProcID(i)))
+		e.onProc[i], lists = lists[:0:n], lists[n:]
 	}
 	seed := cfg.ReleaseSeed
 	if seed == 0 {
@@ -446,7 +459,7 @@ func (e *Engine) releaseJobs() {
 		if next < e.cfg.Horizon {
 			e.releases.Push(relq.Entry{Time: next, Idx: i, Arrival: arrival})
 		}
-		e.active = append(e.active, j)
+		e.addActive(j)
 		e.result.Stats[t.ID].Released++
 		if e.cfg.RetainJobs {
 			e.result.Jobs = append(e.result.Jobs, j)
@@ -480,8 +493,15 @@ func (e *Engine) SpawnAgent(parent *Job, body []task.Segment, proc task.ProcID, 
 		j.SegLeft = body[0].Duration
 	}
 	j.AbsDeadline = parent.AbsDeadline
-	e.active = append(e.active, j)
+	e.addActive(j)
 	return j
+}
+
+// addActive appends j to the active set and to its processor's run list.
+func (e *Engine) addActive(j *Job) {
+	e.active = append(e.active, j)
+	e.onProc[j.Proc] = append(e.onProc[j.Proc], j)
+	e.segs += len(j.Body)
 }
 
 //rtlint:hotpath
@@ -493,13 +513,15 @@ func (e *Engine) nextSeq() uint64 {
 // settle processes instantaneous segments (lock/unlock) across all
 // processors until no further progress is possible without consuming
 // time. It leaves every processor either idle or with its chosen job
-// positioned at a compute segment (or spinning).
+// positioned at a compute segment (or spinning), and records that choice
+// in picked: the final pass changes no job state, so its picks are the
+// ones dispatchAndAdvance would make.
 //
 //rtlint:hotpath
 func (e *Engine) settle() {
 	// Generous bound: every iteration either advances a PC past an
 	// instantaneous segment, blocks a job, or finishes a job.
-	limit := 4 * (e.totalSegments() + len(e.active) + 8)
+	limit := 4 * (e.segs + len(e.active) + 8)
 	for iter := 0; ; iter++ {
 		if iter > limit {
 			//rtlint:allow allocbudget cold failure path: the run is already aborting
@@ -509,6 +531,7 @@ func (e *Engine) settle() {
 		progressed := false
 		for p := 0; p < e.sys.NumProcs; p++ {
 			j := e.pickRunnable(task.ProcID(p))
+			e.picked[p] = j
 			if j == nil || j.State == StateSpinning {
 				continue
 			}
@@ -523,14 +546,6 @@ func (e *Engine) settle() {
 			return
 		}
 	}
-}
-
-func (e *Engine) totalSegments() int {
-	n := 0
-	for _, j := range e.active {
-		n += len(j.Body)
-	}
-	return n
 }
 
 // advanceInstant processes j's instantaneous segment prefix. It returns
@@ -670,25 +685,35 @@ func (e *Engine) finish(j *Job) {
 
 //rtlint:hotpath
 func (e *Engine) removeActive(j *Job) {
-	for i, a := range e.active {
-		if a == j {
-			e.active = append(e.active[:i], e.active[i+1:]...)
-			return
-		}
+	if !removeJob(&e.active, j) {
+		return
 	}
+	removeJob(&e.onProc[j.Proc], j)
+	e.segs -= len(j.Body)
+}
+
+// removeJob deletes j from *list, keeping the order of the rest, and
+// reports whether it was there.
+//
+//rtlint:hotpath
+func removeJob(list *[]*Job, j *Job) bool {
+	i := slices.Index(*list, j)
+	if i < 0 {
+		return false
+	}
+	*list = slices.Delete(*list, i, i+1)
+	return true
 }
 
 // pickRunnable returns the job that should occupy processor p this tick:
 // the ready or spinning job with the highest effective priority, FCFS
-// among equals.
+// among equals. The rule does not depend on list order, so scanning p's
+// run list picks exactly what a scan of the whole active set would.
 //
 //rtlint:hotpath
 func (e *Engine) pickRunnable(p task.ProcID) *Job {
 	var best *Job
-	for _, j := range e.active {
-		if j.Proc != p {
-			continue
-		}
+	for _, j := range e.onProc[p] {
 		if j.State != StateReady && j.State != StateSpinning {
 			continue
 		}
@@ -700,14 +725,16 @@ func (e *Engine) pickRunnable(p task.ProcID) *Job {
 	return best
 }
 
-// dispatchAndAdvance chooses the running job on each processor, records
-// execution, and advances compute segments by one tick.
+// dispatchAndAdvance runs settle's picks on each processor, records
+// execution, and advances compute segments by one tick. Step calls it
+// only right after a settle whose picks are still current: either no
+// abort sweep ran, or the last sweep aborted nothing.
 //
 //rtlint:hotpath
 func (e *Engine) dispatchAndAdvance() {
 	for p := 0; p < e.sys.NumProcs; p++ {
 		proc := task.ProcID(p)
-		j := e.pickRunnable(proc)
+		j := e.picked[p]
 		prev := e.procs[p]
 		if j != prev {
 			if prev != nil && prev.State == StateReady {
@@ -949,6 +976,17 @@ func (e *Engine) JumpTo(j *Job, pc int) {
 // ActiveJobs returns all released unfinished jobs (including agents).
 // The returned slice is the engine's own; callers must not mutate it.
 func (e *Engine) ActiveJobs() []*Job { return e.active }
+
+// JobsOn returns the active jobs (including agents) bound to processor p,
+// in the order ActiveJobs lists them. The returned slice is the engine's
+// own; callers must not mutate it, and it is only valid until the active
+// set next changes.
+func (e *Engine) JobsOn(p task.ProcID) []*Job {
+	if int(p) < len(e.onProc) {
+		return e.onProc[p]
+	}
+	return nil
+}
 
 // RunningOn returns the job that executed on p in the most recent tick.
 func (e *Engine) RunningOn(p task.ProcID) *Job {
