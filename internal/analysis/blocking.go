@@ -10,9 +10,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
-	"mpcp/internal/ceiling"
 	"mpcp/internal/task"
 )
 
@@ -170,295 +170,334 @@ func interferes(w int, tj *task.Task) int {
 // and inherits its monotonicity property.
 func Interferes(w int, tj *task.Task) int { return interferes(w, tj) }
 
-// LongestGcs returns, per processor q and semaphore s, the longest
-// outermost global critical section on s issued from q: the per-processor
-// queue entry of the spin-lock analyses (internal/msrp, internal/fmlp).
-func LongestGcs(sys *task.System) map[task.ProcID]map[task.SemID]int {
-	out := make(map[task.ProcID]map[task.SemID]int)
-	for _, t := range sys.Tasks {
-		for _, cs := range sys.GlobalSections(t.ID) {
-			if out[t.Proc] == nil {
-				out[t.Proc] = make(map[task.SemID]int)
-			}
-			out[t.Proc][cs.Sem] = max(out[t.Proc][cs.Sem], cs.Duration)
+// LongestGcs returns, per semaphore position k and accessor a, the
+// longest outermost global critical section on Sems[k] issued from
+// processor position Index().Accessors(k)[a]: the per-processor queue
+// entry of the spin-lock analyses (internal/msrp, internal/fmlp). Entries
+// with no such section are 0.
+func LongestGcs(sys *task.System) [][]int {
+	x := sys.Index()
+	total := 0
+	for k := range sys.Sems {
+		total += len(x.Accessors(k))
+	}
+	backing, out := make([]int, total), make([][]int, len(sys.Sems))
+	for k := range sys.Sems {
+		n := len(x.Accessors(k))
+		out[k], backing = backing[:n:n], backing[n:]
+	}
+	for i := range sys.Tasks {
+		for _, cs := range x.Global(i) {
+			a := slices.Index(x.Accessors(cs.Sem), x.Proc(i))
+			out[cs.Sem][a] = max(out[cs.Sem][a], cs.Dur)
 		}
 	}
 	return out
 }
 
+// ArrivalBlocking returns the longest local critical section of a
+// lower-priority task on task i's processor whose ceiling reaches P_i:
+// the one section the PCP lets block a job per blocking window.
+func ArrivalBlocking(sys *task.System, i int) int {
+	x, pi, worst := sys.Index(), sys.Tasks[i].Priority, 0
+	for _, k := range x.OnProc(x.Proc(i)) {
+		if sys.Tasks[k].Priority >= pi {
+			continue
+		}
+		for _, cs := range x.Local(k) {
+			if cs.Prio >= pi && cs.Dur > worst {
+				worst = cs.Dur
+			}
+		}
+	}
+	return worst
+}
+
+// Keyed finishes bounds computed in a slice parallel to sys.Tasks: it
+// sets each Task and Total and returns them keyed by task ID.
+func Keyed(sys *task.System, bs []Bound) map[task.ID]*Bound {
+	out := make(map[task.ID]*Bound, len(bs))
+	for i := range bs {
+		b := &bs[i]
+		b.Task = sys.Tasks[i].ID
+		b.Total = b.LocalBlocking + b.GlobalHeldByLower + b.RemotePreemption +
+			b.BlockingProcGcs + b.LowerLocalGcs + b.DeferredPenalty
+		out[b.Task] = b
+	}
+	return out
+}
+
+// GcsRef is one outermost global section and the position of its task.
+type GcsRef struct {
+	Task int
+	task.Sec
+}
+
+// groupGcs files every outermost global section, in task order, under
+// the group of its semaphore position; group -1 leaves it out.
+func groupGcs(sys *task.System, group func(k int) int, n int) [][]GcsRef {
+	x := sys.Index()
+	counts, total := make([]int, n), 0
+	for i := range sys.Tasks {
+		for _, cs := range x.Global(i) {
+			if g := group(cs.Sem); g >= 0 {
+				counts[g]++
+				total++
+			}
+		}
+	}
+	backing, out := make([]GcsRef, total), make([][]GcsRef, n)
+	for g, c := range counts {
+		out[g], backing = backing[:0:c], backing[c:]
+	}
+	for i := range sys.Tasks {
+		for _, cs := range x.Global(i) {
+			if g := group(cs.Sem); g >= 0 {
+				out[g] = append(out[g], GcsRef{Task: i, Sec: cs})
+			}
+		}
+	}
+	return out
+}
+
+// GcsBySem lists every outermost global section under its semaphore
+// position, in task order, so a task's sections on one semaphore are
+// adjacent.
+func GcsBySem(sys *task.System) [][]GcsRef {
+	return groupGcs(sys, func(k int) int { return k }, len(sys.Sems))
+}
+
+// syncGroups resolves the synchronization processor of each global
+// semaphore kept by keep exactly as internal/dpcp does (the explicit
+// assignment, else the lowest-numbered accessor) and groups the
+// semaphores' outermost global sections by it: group[k] is semaphore k's
+// group, -1 if it has none, and procs[g] is group g's processor.
+func syncGroups(sys *task.System, explicit map[task.SemID]task.ProcID, keep func(k int) bool) (secs [][]GcsRef, group []int, procs []task.ProcID) {
+	x := sys.Index()
+	group = make([]int, len(sys.Sems))
+	for k, sem := range sys.Sems {
+		group[k] = -1
+		if !sem.Global || !keep(k) {
+			continue
+		}
+		p, ok := explicit[sem.ID]
+		if !ok {
+			p = x.ProcID(x.Accessors(k)[0]) // a global semaphore has two or more
+		}
+		if group[k] = slices.Index(procs, p); group[k] < 0 {
+			group[k], procs = len(procs), append(procs, p)
+		}
+	}
+	return groupGcs(sys, func(k int) int { return group[k] }, len(procs)), group, procs
+}
+
+// distinct refills dst with the non-negative values of key over secs,
+// once each.
+func distinct(dst []int, secs []task.Sec, key func(task.Sec) int) []int {
+	dst = dst[:0]
+	for _, cs := range secs {
+		if v := key(cs); v >= 0 && !slices.Contains(dst, v) {
+			dst = append(dst, v)
+		}
+	}
+	return dst
+}
+
+func semOf(cs task.Sec) int { return cs.Sem }
+
+// heldByLower is factor 2 for one request: the longest section in refs
+// of a task other than i with priority below prio.
+func heldByLower(sys *task.System, refs []GcsRef, i, prio int) int {
+	worst := 0
+	for _, r := range refs {
+		if r.Task != i && sys.Tasks[r.Task].Priority < prio && r.Dur > worst {
+			worst = r.Dur
+		}
+	}
+	return worst
+}
+
+// demand sums, over the sections in refs of tasks other than i with
+// priority above floor, the section's ticks times its task's arrivals
+// within T_i.
+func demand(sys *task.System, refs []GcsRef, i, floor int, arrivals func(int, *task.Task) int) int {
+	total := 0
+	for _, r := range refs {
+		if tj := sys.Tasks[r.Task]; r.Task != i && tj.Priority > floor {
+			total += arrivals(sys.Tasks[i].Period, tj) * r.Dur
+		}
+	}
+	return total
+}
+
+// deferredPenalty charges one extra execution of each higher-priority
+// task on task i's processor that can suspend: one with a global
+// section.
+func deferredPenalty(sys *task.System, i int) int {
+	x, total := sys.Index(), 0
+	for _, j := range x.OnProc(x.Proc(i)) {
+		if sys.Tasks[j].Priority > sys.Tasks[i].Priority && len(x.Global(j)) > 0 {
+			total += x.WCET(j)
+		}
+	}
+	return total
+}
+
+// remoteScratch holds the per-processor scratch of factors 3 and 4.
+type remoteScratch struct {
+	sys                    *task.System
+	minPrio, seen, blocked []int
+}
+
+func newRemoteScratch(sys *task.System) *remoteScratch {
+	n := sys.Index().Procs()
+	return &remoteScratch{sys: sys, minPrio: make([]int, n), seen: make([]int, n)}
+}
+
+// factors computes factors 3 and 4 of task i over its distinct shared
+// semaphores. Factor 3: higher-priority jobs on other processors
+// requesting the same semaphores precede us; each can do so once per
+// release within T_i. Factor 4: on each blocking processor — one where a
+// lower-priority job requests a shared semaphore — every gcs that
+// counted accepts and whose priority (prio) exceeds the lowest such
+// request's preempts the gcs directly blocking us. arrivals bounds the
+// releases within T_i.
+func (s *remoteScratch) factors(onSem [][]GcsRef, shared []int, i int, prio func(task.Sec) int,
+	counted func(task.Sec) bool, arrivals func(int, *task.Task) int) (f3, f4 int) {
+	sys, x, ti := s.sys, s.sys.Index(), s.sys.Tasks[i]
+	s.blocked = s.blocked[:0]
+	for _, k := range shared {
+		for _, r := range onSem[k] {
+			tk, q := sys.Tasks[r.Task], x.Proc(r.Task)
+			switch {
+			case q == x.Proc(i):
+			case tk.Priority > ti.Priority:
+				f3 += arrivals(ti.Period, tk) * r.Dur
+			case tk.Priority < ti.Priority:
+				if s.seen[q] != i+1 {
+					s.seen[q], s.minPrio[q] = i+1, prio(r.Sec)
+					s.blocked = append(s.blocked, q)
+				}
+				s.minPrio[q] = min(s.minPrio[q], prio(r.Sec))
+			}
+		}
+	}
+	for _, q := range s.blocked {
+		for _, l := range x.OnProc(q) {
+			dur := 0
+			for _, cs := range x.Global(l) {
+				if counted(cs) && prio(cs) > s.minPrio[q] {
+					dur += cs.Dur
+				}
+			}
+			if dur > 0 {
+				f4 += arrivals(ti.Period, sys.Tasks[l]) * dur
+			}
+		}
+	}
+	return f3, f4
+}
+
+func all(task.Sec) bool { return true }
+
+// gcsPrioOf is a section's Section 4.4 gcs priority.
+func gcsPrioOf(cs task.Sec) int { return cs.Prio }
+
 // mpcpBounds implements the five factors of Section 5.1.
 func mpcpBounds(sys *task.System, opts Options) map[task.ID]*Bound {
-	tbl := ceiling.Compute(sys, opts.GcsAtCeiling)
-	out := make(map[task.ID]*Bound, len(sys.Tasks))
+	x := sys.Index()
+	gcsPrio := gcsPrioOf
+	if opts.GcsAtCeiling {
+		gcsPrio = func(cs task.Sec) int { return x.Ceiling(cs.Sem) }
+	}
+	onSem := GcsBySem(sys)
+	bs := make([]Bound, len(sys.Tasks))
+	remote := newRemoteScratch(sys)
+	var shared []int
 
-	for _, ti := range sys.Tasks {
-		b := &Bound{Task: ti.ID}
-		gcsI := sys.GlobalSections(ti.ID)
-		ng := len(gcsI)
-		shared := make(map[task.SemID]bool, len(gcsI))
-		for _, cs := range gcsI {
-			shared[cs.Sem] = true
-		}
+	for i, ti := range sys.Tasks {
+		b := &bs[i]
+		gcsI := x.Global(i)
+		ng, qi := len(gcsI), x.Proc(i)
+		shared = distinct(shared, gcsI, semOf)
 
 		// Factor 1: (NG_i + 1) opportunities to be blocked by one local
 		// critical section of a lower-priority job whose ceiling reaches
 		// P_i.
-		maxLcs := 0
-		for _, tk := range sys.TasksOn(ti.Proc) {
-			if tk.Priority >= ti.Priority {
-				continue
-			}
-			for _, cs := range sys.LocalSections(tk.ID) {
-				if tbl.LocalCeil[cs.Sem] >= ti.Priority && cs.Duration > maxLcs {
-					maxLcs = cs.Duration
-				}
-			}
-		}
-		b.LocalBlocking = (ng + 1) * maxLcs
+		b.LocalBlocking = (ng + 1) * ArrivalBlocking(sys, i)
 
 		// Factor 2: per gcs request, the semaphore may be held by the
 		// longest lower-priority gcs on the same semaphore.
 		for _, cs := range gcsI {
-			worst := 0
-			for _, tk := range sys.Tasks {
-				if tk.ID == ti.ID || tk.Priority >= ti.Priority {
-					continue
-				}
-				for _, other := range sys.GlobalSections(tk.ID) {
-					if other.Sem == cs.Sem && other.Duration > worst {
-						worst = other.Duration
-					}
-				}
-			}
-			b.GlobalHeldByLower += worst
+			b.GlobalHeldByLower += heldByLower(sys, onSem[cs.Sem], i, ti.Priority)
 		}
 
-		// Factor 3: higher-priority jobs on other processors requesting
-		// the same semaphores precede us; each can do so once per release
-		// within T_i.
-		for _, tj := range sys.Tasks {
-			if tj.Proc == ti.Proc || tj.Priority <= ti.Priority {
-				continue
-			}
-			dur := 0
-			for _, cs := range sys.GlobalSections(tj.ID) {
-				if shared[cs.Sem] {
-					dur += cs.Duration
-				}
-			}
-			if dur > 0 {
-				b.RemotePreemption += interferes(ti.Period, tj) * dur
-			}
-		}
-
-		// Factor 4: on each blocking processor, higher-priority gcs's
-		// preempt the gcs directly blocking us.
-		type blockerInfo struct {
-			minPrio int
-			found   bool
-		}
-		blockProcs := make(map[task.ProcID]*blockerInfo)
-		for _, tk := range sys.Tasks {
-			if tk.Proc == ti.Proc || tk.Priority >= ti.Priority {
-				continue
-			}
-			for _, cs := range sys.GlobalSections(tk.ID) {
-				if !shared[cs.Sem] {
-					continue
-				}
-				prio := tbl.GcsPrio[ceiling.Key{Task: tk.ID, Sem: cs.Sem}]
-				bi := blockProcs[tk.Proc]
-				if bi == nil {
-					bi = &blockerInfo{minPrio: prio, found: true}
-					blockProcs[tk.Proc] = bi
-				} else if prio < bi.minPrio {
-					bi.minPrio = prio
-				}
-			}
-		}
-		for proc, bi := range blockProcs {
-			if !bi.found {
-				continue
-			}
-			for _, tl := range sys.TasksOn(proc) {
-				dur := 0
-				for _, cs := range sys.GlobalSections(tl.ID) {
-					prio := tbl.GcsPrio[ceiling.Key{Task: tl.ID, Sem: cs.Sem}]
-					if prio > bi.minPrio {
-						dur += cs.Duration
-					}
-				}
-				if dur > 0 {
-					b.BlockingProcGcs += interferes(ti.Period, tl) * dur
-				}
-			}
-		}
+		// Factors 3 and 4.
+		b.RemotePreemption, b.BlockingProcGcs = remote.factors(onSem, shared, i, gcsPrio, all, interferes)
 
 		// Factor 5: gcs's of lower-priority local jobs run above our
 		// priority. Each lower-priority task τk contributes at most
 		// min(NG_i + 1, 2·NG_k) sections of its longest gcs.
-		for _, tk := range sys.TasksOn(ti.Proc) {
-			if tk.Priority >= ti.Priority {
-				continue
-			}
-			ngk := len(sys.GlobalSections(tk.ID))
-			if ngk == 0 {
+		for _, k := range x.OnProc(qi) {
+			if sys.Tasks[k].Priority >= ti.Priority {
 				continue
 			}
 			maxGcs := 0
-			for _, cs := range sys.GlobalSections(tk.ID) {
-				if cs.Duration > maxGcs {
-					maxGcs = cs.Duration
-				}
+			for _, cs := range x.Global(k) {
+				maxGcs = max(maxGcs, cs.Dur)
 			}
-			count := ng + 1
-			if 2*ngk < count {
-				count = 2 * ngk
-			}
-			b.LowerLocalGcs += count * maxGcs
+			b.LowerLocalGcs += min(ng+1, 2*len(x.Global(k))) * maxGcs
 		}
 
 		if opts.DeferredPenalty {
-			for _, tj := range sys.TasksOn(ti.Proc) {
-				if tj.Priority <= ti.Priority {
-					continue
-				}
-				if len(sys.GlobalSections(tj.ID)) > 0 {
-					b.DeferredPenalty += tj.WCET()
-				}
-			}
+			b.DeferredPenalty = deferredPenalty(sys, i)
 		}
-
-		b.Total = b.LocalBlocking + b.GlobalHeldByLower + b.RemotePreemption +
-			b.BlockingProcGcs + b.LowerLocalGcs + b.DeferredPenalty
-		out[ti.ID] = b
 	}
-	return out
-}
-
-// dpcpAssign resolves the synchronization processor of each global
-// semaphore exactly as internal/dpcp does.
-func dpcpAssign(sys *task.System, explicit map[task.SemID]task.ProcID) map[task.SemID]task.ProcID {
-	out := make(map[task.SemID]task.ProcID)
-	for _, sem := range sys.Sems {
-		if !sem.Global {
-			continue
-		}
-		if p, ok := explicit[sem.ID]; ok {
-			out[sem.ID] = p
-			continue
-		}
-		out[sem.ID] = sys.AccessorProcs(sem.ID)[0] // a global semaphore has two or more
-	}
-	return out
+	return Keyed(sys, bs)
 }
 
 // dpcpBounds computes the analogous decomposition for the message-based
 // protocol: contention happens on synchronization processors, where every
 // gcs executes at the global ceiling of its semaphore.
 func dpcpBounds(sys *task.System, opts Options) map[task.ID]*Bound {
-	assign := dpcpAssign(sys, opts.DPCPAssign)
-	tbl := ceiling.Compute(sys, true)
-	out := make(map[task.ID]*Bound, len(sys.Tasks))
+	x := sys.Index()
+	onSync, group, syncProcs := syncGroups(sys, opts.DPCPAssign, func(int) bool { return true })
+	groupOf := func(cs task.Sec) int { return group[cs.Sem] }
+	bs := make([]Bound, len(sys.Tasks))
+	var groups []int
 
-	// gcs's grouped by synchronization processor.
-	type remoteGcs struct {
-		owner *task.Task
-		cs    task.CriticalSection
-	}
-	bySync := make(map[task.ProcID][]remoteGcs)
-	for _, t := range sys.Tasks {
-		for _, cs := range sys.GlobalSections(t.ID) {
-			bySync[assign[cs.Sem]] = append(bySync[assign[cs.Sem]], remoteGcs{owner: t, cs: cs})
-		}
-	}
-
-	for _, ti := range sys.Tasks {
-		b := &Bound{Task: ti.ID}
-		gcsI := sys.GlobalSections(ti.ID)
-		ng := len(gcsI)
-		syncProcs := make(map[task.ProcID]bool)
-		for _, cs := range gcsI {
-			syncProcs[assign[cs.Sem]] = true
-		}
+	for i, ti := range sys.Tasks {
+		b := &bs[i]
+		gcsI := x.Global(i)
+		groups = distinct(groups, gcsI, groupOf)
 
 		// Factor 1: identical local PCP blocking.
-		maxLcs := 0
-		for _, tk := range sys.TasksOn(ti.Proc) {
-			if tk.Priority >= ti.Priority {
-				continue
-			}
-			for _, cs := range sys.LocalSections(tk.ID) {
-				if tbl.LocalCeil[cs.Sem] >= ti.Priority && cs.Duration > maxLcs {
-					maxLcs = cs.Duration
-				}
-			}
-		}
-		b.LocalBlocking = (ng + 1) * maxLcs
+		b.LocalBlocking = (len(gcsI) + 1) * ArrivalBlocking(sys, i)
 
 		// Factor 2 analog: each of our requests can wait for one
 		// lower-priority gcs in service on the same sync processor.
 		for _, cs := range gcsI {
-			sp := assign[cs.Sem]
-			worst := 0
-			for _, rg := range bySync[sp] {
-				if rg.owner.ID == ti.ID || rg.owner.Priority >= ti.Priority {
-					continue
-				}
-				if rg.cs.Duration > worst {
-					worst = rg.cs.Duration
-				}
-			}
-			b.GlobalHeldByLower += worst
+			b.GlobalHeldByLower += heldByLower(sys, onSync[groupOf(cs)], i, ti.Priority)
 		}
 
 		// Factor 3 analog: higher-priority gcs's on the sync processors we
 		// use delay our agents.
-		for sp := range syncProcs {
-			perOwner := make(map[task.ID]int)
-			for _, rg := range bySync[sp] {
-				if rg.owner.ID == ti.ID || rg.owner.Priority <= ti.Priority {
-					continue
-				}
-				perOwner[rg.owner.ID] += rg.cs.Duration
-			}
-			for owner, dur := range perOwner {
-				tj := sys.TaskByID(owner)
-				b.RemotePreemption += interferes(ti.Period, tj) * dur
-			}
+		for _, g := range groups {
+			b.RemotePreemption += demand(sys, onSync[g], i, ti.Priority, interferes)
 		}
 
 		// Factor 5 analog: agents of other tasks executing on our own
 		// processor (when it doubles as a synchronization processor)
 		// preempt us at ceiling priority regardless of task priorities.
-		perOwner := make(map[task.ID]int)
-		for _, rg := range bySync[ti.Proc] {
-			if rg.owner.ID == ti.ID {
-				continue
-			}
-			perOwner[rg.owner.ID] += rg.cs.Duration
-		}
-		for owner, dur := range perOwner {
-			tk := sys.TaskByID(owner)
-			b.LowerLocalGcs += interferes(ti.Period, tk) * dur
+		if g := slices.Index(syncProcs, ti.Proc); g >= 0 {
+			b.LowerLocalGcs += demand(sys, onSync[g], i, math.MinInt, interferes)
 		}
 
 		if opts.DeferredPenalty {
-			for _, tj := range sys.TasksOn(ti.Proc) {
-				if tj.Priority <= ti.Priority {
-					continue
-				}
-				if len(sys.GlobalSections(tj.ID)) > 0 {
-					b.DeferredPenalty += tj.WCET()
-				}
-			}
+			b.DeferredPenalty = deferredPenalty(sys, i)
 		}
-
-		b.Total = b.LocalBlocking + b.GlobalHeldByLower + b.RemotePreemption +
-			b.BlockingProcGcs + b.LowerLocalGcs + b.DeferredPenalty
-		out[ti.ID] = b
 	}
-	return out
+	return Keyed(sys, bs)
 }
 
 // TaskReport is the per-task outcome of a schedulability test.
@@ -506,24 +545,26 @@ func Schedulability(sys *task.System, bounds map[task.ID]*Bound, opts Options) (
 	if !sys.Validated() {
 		return nil, ErrNotValidated
 	}
-	rep := &Report{SchedulableUtil: true, SchedulableResponse: true}
+	x := sys.Index()
+	rep := &Report{SchedulableUtil: true, SchedulableResponse: true, Tasks: make([]TaskReport, 0, len(sys.Tasks))}
 
-	for p := 0; p < sys.NumProcs; p++ {
-		tasks := sys.TasksOn(task.ProcID(p)) // descending priority
-		for i, ti := range tasks {
+	for q := 0; q < x.Procs(); q++ {
+		tasks := x.OnProc(q) // descending priority
+		for i, pos := range tasks {
+			ti := sys.Tasks[pos]
 			b := 0
 			if bd := bounds[ti.ID]; bd != nil {
 				b = bd.Total
 			}
-			tr := TaskReport{Task: ti.ID, Proc: ti.Proc, C: ti.WCET(), T: ti.Period, B: b}
+			tr := TaskReport{Task: ti.ID, Proc: ti.Proc, C: x.WCET(pos), T: ti.Period, B: b}
 
 			// Theorem 3: sum_{j<=i} C_j/T_j + B_i/T_i <= i (2^{1/i} - 1).
 			// Sporadic tasks are charged at their worst-case rate (the
 			// minimum interarrival), so the sufficient condition stays
 			// sound under the sporadic model.
 			lhs := float64(b) / float64(ti.EffectiveMinInterarrival())
-			for j := 0; j <= i; j++ {
-				lhs += float64(tasks[j].WCET()) / float64(tasks[j].EffectiveMinInterarrival())
+			for _, j := range tasks[:i+1] {
+				lhs += float64(x.WCET(j)) / float64(sys.Tasks[j].EffectiveMinInterarrival())
 			}
 			n := float64(i + 1)
 			rhs := n * (math.Pow(2, 1/n) - 1)
@@ -537,7 +578,7 @@ func Schedulability(sys *task.System, bounds map[task.ID]*Bound, opts Options) (
 			// R = C_i + B_i + sum_{j<i} ceil(R/T_j) C_j (+ one extra C_j
 			// per suspending higher-priority task when the deferred
 			// penalty is modeled structurally rather than inside B).
-			tr.Response, tr.ResponseOK = responseTime(sys, tasks[:i], ti, b)
+			tr.Response, tr.ResponseOK = responseTime(sys, tasks[:i], pos, b)
 			if !tr.ResponseOK {
 				rep.SchedulableResponse = false
 			}
@@ -553,13 +594,14 @@ func Schedulability(sys *task.System, bounds map[task.ID]*Bound, opts Options) (
 // T_j^min), and the verdict compares R + J_i against the deadline — the
 // job's own jitter delays its release but not its deadline, so it eats
 // into the slack.
-func responseTime(sys *task.System, higher []*task.Task, ti *task.Task, b int) (int, bool) {
+func responseTime(sys *task.System, higher []int, i, b int) (int, bool) {
+	x, ti := sys.Index(), sys.Tasks[i]
 	deadline := ti.RelativeDeadline()
-	r := ti.WCET() + b
+	r := x.WCET(i) + b
 	for iter := 0; iter < 1000; iter++ {
-		next := ti.WCET() + b
-		for _, tj := range higher {
-			next += interferes(r, tj) * tj.WCET()
+		next := x.WCET(i) + b
+		for _, j := range higher {
+			next += interferes(r, sys.Tasks[j]) * x.WCET(j)
 		}
 		if next == r {
 			return r, r+ti.Jitter <= deadline

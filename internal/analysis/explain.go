@@ -2,9 +2,9 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
-	"mpcp/internal/ceiling"
 	"mpcp/internal/task"
 )
 
@@ -17,43 +17,42 @@ func Explain(sys *task.System, id task.ID, opts Options) (string, error) {
 	if !sys.Validated() {
 		return "", ErrNotValidated
 	}
-	ti := sys.TaskByID(id)
-	if ti == nil {
+	x := sys.Index()
+	i, ok := x.TaskPos(id)
+	if !ok {
 		return "", fmt.Errorf("analysis: no task %d", id)
 	}
+	ti := sys.Tasks[i]
 	bounds, err := Bounds(sys, Options{Kind: KindMPCP, DeferredPenalty: opts.DeferredPenalty, GcsAtCeiling: opts.GcsAtCeiling})
 	if err != nil {
 		return "", err
 	}
 	b := bounds[id]
-	tbl := ceiling.Compute(sys, opts.GcsAtCeiling)
 
 	var w strings.Builder
 	fmt.Fprintf(&w, "Worst-case blocking of task %d (%s), priority %d on P%d: B = %d ticks\n",
 		ti.ID, ti.Name, ti.Priority, ti.Proc, b.Total)
 
-	gcsI := sys.GlobalSections(ti.ID)
+	gcsI := x.Global(i)
 	ng := len(gcsI)
 	fmt.Fprintf(&w, "The task enters %d global critical section(s), so it can suspend %d time(s).\n\n", ng, ng)
+	lower := func(k int) bool { return sys.Tasks[k].Priority < ti.Priority }
 
 	// Factor 1.
 	fmt.Fprintf(&w, "1. Local blocking around suspensions: %d\n", b.LocalBlocking)
 	if b.LocalBlocking > 0 {
-		var worst task.CriticalSection
-		var owner *task.Task
-		for _, tk := range sys.TasksOn(ti.Proc) {
-			if tk.Priority >= ti.Priority {
-				continue
-			}
-			for _, cs := range sys.LocalSections(tk.ID) {
-				if tbl.LocalCeil[cs.Sem] >= ti.Priority && cs.Duration > worst.Duration {
-					worst, owner = cs, tk
+		var worst task.Sec
+		owner := -1
+		for _, k := range x.OnProc(x.Proc(i)) {
+			for _, cs := range x.Local(k) {
+				if lower(k) && cs.Prio >= ti.Priority && cs.Dur > worst.Dur {
+					worst, owner = cs, k
 				}
 			}
 		}
-		if owner != nil {
+		if owner >= 0 {
 			fmt.Fprintf(&w, "   (%d arrival/suspension opportunities) x (%d ticks: task %d's section on %s, ceiling %d >= P%d)\n",
-				ng+1, worst.Duration, owner.ID, semName(sys, worst.Sem), tbl.LocalCeil[worst.Sem], ti.Priority)
+				ng+1, worst.Dur, sys.Tasks[owner].ID, semName(sys.Sems[worst.Sem]), worst.Prio, ti.Priority)
 		}
 	} else {
 		fmt.Fprintf(&w, "   no lower-priority local critical section has a ceiling reaching this task\n")
@@ -62,40 +61,32 @@ func Explain(sys *task.System, id task.ID, opts Options) (string, error) {
 	// Factor 2.
 	fmt.Fprintf(&w, "2. Global semaphore held by a lower-priority job: %d\n", b.GlobalHeldByLower)
 	for _, cs := range gcsI {
-		var worst task.CriticalSection
-		var owner *task.Task
-		for _, tk := range sys.Tasks {
-			if tk.ID == ti.ID || tk.Priority >= ti.Priority {
-				continue
-			}
-			for _, other := range sys.GlobalSections(tk.ID) {
-				if other.Sem == cs.Sem && other.Duration > worst.Duration {
-					worst, owner = other, tk
+		worst, owner := 0, -1
+		for k := range sys.Tasks {
+			for _, other := range x.Global(k) {
+				if k != i && lower(k) && other.Sem == cs.Sem && other.Dur > worst {
+					worst, owner = other.Dur, k
 				}
 			}
 		}
-		if owner != nil {
+		if owner >= 0 {
 			fmt.Fprintf(&w, "   request on %s: up to %d ticks behind task %d\n",
-				semName(sys, cs.Sem), worst.Duration, owner.ID)
+				semName(sys.Sems[cs.Sem]), worst, sys.Tasks[owner].ID)
 		} else {
-			fmt.Fprintf(&w, "   request on %s: no lower-priority user\n", semName(sys, cs.Sem))
+			fmt.Fprintf(&w, "   request on %s: no lower-priority user\n", semName(sys.Sems[cs.Sem]))
 		}
 	}
 
 	// Factor 3.
 	fmt.Fprintf(&w, "3. Higher-priority remote requests preceding ours: %d\n", b.RemotePreemption)
-	shared := make(map[task.SemID]bool)
-	for _, cs := range gcsI {
-		shared[cs.Sem] = true
-	}
-	for _, tj := range sys.Tasks {
-		if tj.Proc == ti.Proc || tj.Priority <= ti.Priority {
+	for j, tj := range sys.Tasks {
+		if x.Proc(j) == x.Proc(i) || tj.Priority <= ti.Priority {
 			continue
 		}
 		dur := 0
-		for _, cs := range sys.GlobalSections(tj.ID) {
-			if shared[cs.Sem] {
-				dur += cs.Duration
+		for _, cs := range x.Global(j) {
+			if slices.ContainsFunc(gcsI, func(own task.Sec) bool { return own.Sem == cs.Sem }) {
+				dur += cs.Dur
 			}
 		}
 		if dur > 0 {
@@ -109,45 +100,33 @@ func Explain(sys *task.System, id task.ID, opts Options) (string, error) {
 
 	// Factor 5.
 	fmt.Fprintf(&w, "5. Lower-priority local gcs's executing above us: %d\n", b.LowerLocalGcs)
-	for _, tk := range sys.TasksOn(ti.Proc) {
-		if tk.Priority >= ti.Priority {
-			continue
-		}
-		ngk := len(sys.GlobalSections(tk.ID))
-		if ngk == 0 {
+	for _, k := range x.OnProc(x.Proc(i)) {
+		ngk := len(x.Global(k))
+		if !lower(k) || ngk == 0 {
 			continue
 		}
 		maxGcs := 0
-		for _, cs := range sys.GlobalSections(tk.ID) {
-			if cs.Duration > maxGcs {
-				maxGcs = cs.Duration
-			}
-		}
-		count := ng + 1
-		if 2*ngk < count {
-			count = 2 * ngk
+		for _, cs := range x.Global(k) {
+			maxGcs = max(maxGcs, cs.Dur)
 		}
 		fmt.Fprintf(&w, "   task %d: min(NG+1=%d, 2x%d)=%d boost(s) x %d ticks\n",
-			tk.ID, ng+1, ngk, count, maxGcs)
+			sys.Tasks[k].ID, ng+1, ngk, min(ng+1, 2*ngk), maxGcs)
 	}
 
 	if opts.DeferredPenalty {
 		fmt.Fprintf(&w, "6. Deferred-execution penalty of suspending higher-priority local tasks: %d\n", b.DeferredPenalty)
-		for _, tj := range sys.TasksOn(ti.Proc) {
-			if tj.Priority <= ti.Priority {
-				continue
-			}
-			if len(sys.GlobalSections(tj.ID)) > 0 {
-				fmt.Fprintf(&w, "   task %d can defer: one extra execution of C=%d\n", tj.ID, tj.WCET())
+		for _, j := range x.OnProc(x.Proc(i)) {
+			if sys.Tasks[j].Priority > ti.Priority && len(x.Global(j)) > 0 {
+				fmt.Fprintf(&w, "   task %d can defer: one extra execution of C=%d\n", sys.Tasks[j].ID, x.WCET(j))
 			}
 		}
 	}
 	return w.String(), nil
 }
 
-func semName(sys *task.System, s task.SemID) string {
-	if sem := sys.SemByID(s); sem != nil && sem.Name != "" {
+func semName(sem *task.Semaphore) string {
+	if sem.Name != "" {
 		return sem.Name
 	}
-	return fmt.Sprintf("S%d", s)
+	return fmt.Sprintf("S%d", sem.ID)
 }

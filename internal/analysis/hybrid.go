@@ -2,8 +2,9 @@ package analysis
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
-	"mpcp/internal/ceiling"
 	"mpcp/internal/task"
 )
 
@@ -38,198 +39,76 @@ func HybridBounds(sys *task.System, opts HybridOptions) (map[task.ID]*Bound, err
 	if cs := sys.NestedGlobal(); cs != nil {
 		return nil, fmt.Errorf("%w: task %d semaphore %d", ErrNestedGlobal, cs.Task, cs.Sem)
 	}
-	tbl := ceiling.Compute(sys, false)
-	assign := dpcpAssign(sys, opts.Assign)
-
-	isRemote := func(s task.SemID) bool { return opts.Remote[s] }
-
-	// Remote gcs's grouped by synchronization processor.
-	type remoteGcs struct {
-		owner *task.Task
-		cs    task.CriticalSection
+	x := sys.Index()
+	remote := make([]bool, len(sys.Sems))
+	for k, sem := range sys.Sems {
+		remote[k] = opts.Remote[sem.ID]
 	}
-	bySync := make(map[task.ProcID][]remoteGcs)
-	for _, t := range sys.Tasks {
-		for _, cs := range sys.GlobalSections(t.ID) {
-			if isRemote(cs.Sem) {
-				bySync[assign[cs.Sem]] = append(bySync[assign[cs.Sem]], remoteGcs{owner: t, cs: cs})
-			}
+	isShm := func(cs task.Sec) bool { return !remote[cs.Sem] }
+	shmSem := func(cs task.Sec) int {
+		if remote[cs.Sem] {
+			return -1
 		}
+		return cs.Sem
 	}
+	onSem := GcsBySem(sys)
+	onSync, group, syncProcs := syncGroups(sys, opts.Assign, func(k int) bool { return remote[k] })
+	groupOf := func(cs task.Sec) int { return group[cs.Sem] }
+	period := func(w int, tj *task.Task) int { return ceilDiv(w, tj.Period) }
+	bs := make([]Bound, len(sys.Tasks))
+	shm := newRemoteScratch(sys)
+	var shmShared, groups []int
 
-	out := make(map[task.ID]*Bound, len(sys.Tasks))
-	for _, ti := range sys.Tasks {
-		b := &Bound{Task: ti.ID}
-		gcsAll := sys.GlobalSections(ti.ID)
-		ng := len(gcsAll) // every global request can suspend, either mode
-
-		var shmSecs, remSecs []task.CriticalSection
-		shmShared := make(map[task.SemID]bool)
-		for _, cs := range gcsAll {
-			if isRemote(cs.Sem) {
-				remSecs = append(remSecs, cs)
-			} else {
-				shmSecs = append(shmSecs, cs)
-				shmShared[cs.Sem] = true
-			}
-		}
+	for i, ti := range sys.Tasks {
+		b := &bs[i]
+		gcsAll := x.Global(i)
+		ng, qi := len(gcsAll), x.Proc(i) // every global request can suspend, either mode
+		shmShared, groups = distinct(shmShared, gcsAll, shmSem), distinct(groups, gcsAll, groupOf)
 
 		// Factor 1: identical in both modes.
-		maxLcs := 0
-		for _, tk := range sys.TasksOn(ti.Proc) {
-			if tk.Priority >= ti.Priority {
-				continue
-			}
-			for _, cs := range sys.LocalSections(tk.ID) {
-				if tbl.LocalCeil[cs.Sem] >= ti.Priority && cs.Duration > maxLcs {
-					maxLcs = cs.Duration
-				}
-			}
-		}
-		b.LocalBlocking = (ng + 1) * maxLcs
+		b.LocalBlocking = (ng + 1) * ArrivalBlocking(sys, i)
 
-		// Shared-memory contributions (MPCP factors 2-4 over shmSecs).
-		for _, cs := range shmSecs {
-			worst := 0
-			for _, tk := range sys.Tasks {
-				if tk.ID == ti.ID || tk.Priority >= ti.Priority {
-					continue
-				}
-				for _, other := range sys.GlobalSections(tk.ID) {
-					if other.Sem == cs.Sem && other.Duration > worst {
-						worst = other.Duration
-					}
-				}
+		// Factor 2: a shared-memory request waits behind the semaphore's
+		// longest lower-priority gcs, a remote one behind the longest
+		// lower-priority gcs served on its synchronization processor.
+		for _, cs := range gcsAll {
+			refs := onSem[cs.Sem]
+			if remote[cs.Sem] {
+				refs = onSync[groupOf(cs)]
 			}
-			b.GlobalHeldByLower += worst
-		}
-		for _, tj := range sys.Tasks {
-			if tj.Proc == ti.Proc || tj.Priority <= ti.Priority {
-				continue
-			}
-			dur := 0
-			for _, cs := range sys.GlobalSections(tj.ID) {
-				if shmShared[cs.Sem] {
-					dur += cs.Duration
-				}
-			}
-			if dur > 0 {
-				b.RemotePreemption += ceilDiv(ti.Period, tj.Period) * dur
-			}
-		}
-		blockProcs := make(map[task.ProcID]int) // proc -> min blocker gcs prio
-		for _, tk := range sys.Tasks {
-			if tk.Proc == ti.Proc || tk.Priority >= ti.Priority {
-				continue
-			}
-			for _, cs := range sys.GlobalSections(tk.ID) {
-				if !shmShared[cs.Sem] || isRemote(cs.Sem) {
-					continue
-				}
-				prio := tbl.GcsPrio[ceiling.Key{Task: tk.ID, Sem: cs.Sem}]
-				if cur, ok := blockProcs[tk.Proc]; !ok || prio < cur {
-					blockProcs[tk.Proc] = prio
-				}
-			}
-		}
-		for proc, minPrio := range blockProcs {
-			for _, tl := range sys.TasksOn(proc) {
-				dur := 0
-				for _, cs := range sys.GlobalSections(tl.ID) {
-					if isRemote(cs.Sem) {
-						continue
-					}
-					if tbl.GcsPrio[ceiling.Key{Task: tl.ID, Sem: cs.Sem}] > minPrio {
-						dur += cs.Duration
-					}
-				}
-				if dur > 0 {
-					b.BlockingProcGcs += ceilDiv(ti.Period, tl.Period) * dur
-				}
-			}
+			b.GlobalHeldByLower += heldByLower(sys, refs, i, ti.Priority)
 		}
 
-		// Remote contributions (DPCP factors over remSecs).
-		syncProcs := make(map[task.ProcID]bool)
-		for _, cs := range remSecs {
-			syncProcs[assign[cs.Sem]] = true
-			sp := assign[cs.Sem]
-			worst := 0
-			for _, rg := range bySync[sp] {
-				if rg.owner.ID == ti.ID || rg.owner.Priority >= ti.Priority {
-					continue
-				}
-				if rg.cs.Duration > worst {
-					worst = rg.cs.Duration
-				}
-			}
-			b.GlobalHeldByLower += worst
-		}
-		for sp := range syncProcs {
-			perOwner := make(map[task.ID]int)
-			for _, rg := range bySync[sp] {
-				if rg.owner.ID == ti.ID || rg.owner.Priority <= ti.Priority {
-					continue
-				}
-				perOwner[rg.owner.ID] += rg.cs.Duration
-			}
-			for owner, dur := range perOwner {
-				tj := sys.TaskByID(owner)
-				b.RemotePreemption += ceilDiv(ti.Period, tj.Period) * dur
-			}
+		// Shared-memory contributions (MPCP factors 3-4 over the
+		// shared-memory sections), then the remote ones (DPCP factor 3
+		// over the remote sections).
+		b.RemotePreemption, b.BlockingProcGcs = shm.factors(onSem, shmShared, i, gcsPrioOf, isShm, period)
+		for _, g := range groups {
+			b.RemotePreemption += demand(sys, onSync[g], i, ti.Priority, period)
 		}
 
 		// Factor 5 composition: shared-memory gcs boosts of lower local
 		// tasks, plus remote agents executing on our own processor.
-		for _, tk := range sys.TasksOn(ti.Proc) {
-			if tk.Priority >= ti.Priority {
+		for _, k := range x.OnProc(qi) {
+			if sys.Tasks[k].Priority >= ti.Priority {
 				continue
 			}
 			shmCount, maxGcs := 0, 0
-			for _, cs := range sys.GlobalSections(tk.ID) {
-				if isRemote(cs.Sem) {
-					continue
-				}
-				shmCount++
-				if cs.Duration > maxGcs {
-					maxGcs = cs.Duration
+			for _, cs := range x.Global(k) {
+				if isShm(cs) {
+					shmCount++
+					maxGcs = max(maxGcs, cs.Dur)
 				}
 			}
-			if shmCount == 0 {
-				continue
-			}
-			count := ng + 1
-			if 2*shmCount < count {
-				count = 2 * shmCount
-			}
-			b.LowerLocalGcs += count * maxGcs
+			b.LowerLocalGcs += min(ng+1, 2*shmCount) * maxGcs
 		}
-		perOwner := make(map[task.ID]int)
-		for _, rg := range bySync[ti.Proc] {
-			if rg.owner.ID == ti.ID {
-				continue
-			}
-			perOwner[rg.owner.ID] += rg.cs.Duration
-		}
-		for owner, dur := range perOwner {
-			tk := sys.TaskByID(owner)
-			b.LowerLocalGcs += ceilDiv(ti.Period, tk.Period) * dur
+		if g := slices.Index(syncProcs, ti.Proc); g >= 0 {
+			b.LowerLocalGcs += demand(sys, onSync[g], i, math.MinInt, period)
 		}
 
 		if opts.DeferredPenalty {
-			for _, tj := range sys.TasksOn(ti.Proc) {
-				if tj.Priority <= ti.Priority {
-					continue
-				}
-				if len(sys.GlobalSections(tj.ID)) > 0 {
-					b.DeferredPenalty += tj.WCET()
-				}
-			}
+			b.DeferredPenalty = deferredPenalty(sys, i)
 		}
-
-		b.Total = b.LocalBlocking + b.GlobalHeldByLower + b.RemotePreemption +
-			b.BlockingProcGcs + b.LowerLocalGcs + b.DeferredPenalty
-		out[ti.ID] = b
 	}
-	return out, nil
+	return Keyed(sys, bs), nil
 }

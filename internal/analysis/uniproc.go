@@ -3,7 +3,6 @@ package analysis
 import (
 	"math"
 
-	"mpcp/internal/ceiling"
 	"mpcp/internal/task"
 )
 
@@ -18,27 +17,11 @@ func PCPBounds(sys *task.System) (map[task.ID]*Bound, error) {
 	if !sys.Validated() {
 		return nil, ErrNotValidated
 	}
-	tbl := ceiling.Compute(sys, false)
-	out := make(map[task.ID]*Bound, len(sys.Tasks))
-	for _, ti := range sys.Tasks {
-		b := &Bound{Task: ti.ID}
-		for _, tk := range sys.TasksOn(ti.Proc) {
-			if tk.Priority >= ti.Priority {
-				continue
-			}
-			for _, cs := range sys.CriticalSections(tk.ID) {
-				if cs.Global {
-					continue
-				}
-				if tbl.LocalCeil[cs.Sem] >= ti.Priority && cs.Duration > b.LocalBlocking {
-					b.LocalBlocking = cs.Duration
-				}
-			}
-		}
-		b.Total = b.LocalBlocking
-		out[ti.ID] = b
+	bs := make([]Bound, len(sys.Tasks))
+	for i := range sys.Tasks {
+		bs[i].LocalBlocking = ArrivalBlocking(sys, i)
 	}
-	return out, nil
+	return Keyed(sys, bs), nil
 }
 
 // HyperbolicTest is the Bini-Buttazzo refinement of the Liu-Layland
@@ -54,23 +37,25 @@ func HyperbolicTest(sys *task.System, bounds map[task.ID]*Bound) (bool, map[task
 	if !sys.Validated() {
 		return false, nil, ErrNotValidated
 	}
+	x := sys.Index()
 	perTask := make(map[task.ID]bool, len(sys.Tasks))
 	all := true
-	for p := 0; p < sys.NumProcs; p++ {
-		tasks := sys.TasksOn(task.ProcID(p))
+	for q := 0; q < x.Procs(); q++ {
 		prod := 1.0
-		for _, ti := range tasks {
+		for _, i := range x.OnProc(q) {
+			ti := sys.Tasks[i]
 			b := 0
 			if bd := bounds[ti.ID]; bd != nil {
 				b = bd.Total
 			}
-			lhs := (ti.Utilization() + float64(b)/float64(ti.Period) + 1) * prod
+			u := float64(x.WCET(i)) / float64(ti.Period)
+			lhs := (u + float64(b)/float64(ti.Period) + 1) * prod
 			ok := lhs <= 2+1e-12
 			perTask[ti.ID] = ok
 			if !ok {
 				all = false
 			}
-			prod *= ti.Utilization() + 1
+			prod *= u + 1
 		}
 	}
 	return all, perTask, nil

@@ -41,6 +41,7 @@ func runPoint(spec *Spec, pt Point, reg *obs.Registry) (res *PointResult) {
 
 	var blockSum float64
 	var blockTrials int
+	remote := spec.RemoteSems() // read-only, shared by every trial of the point
 	for trial := 0; trial < spec.SeedsPerPoint; trial++ {
 		res.Trials++
 		seed := spec.TrialSeed(pt, trial)
@@ -50,7 +51,7 @@ func runPoint(spec *Spec, pt Point, reg *obs.Registry) (res *PointResult) {
 			continue
 		}
 
-		bounds, err := pointBounds(spec, pt, sys)
+		bounds, err := pointBounds(pt, sys, spec.DeferredPenalty, remote)
 		if err != nil {
 			res.AnalysisFailed++
 			continue
@@ -90,7 +91,7 @@ func runPoint(spec *Spec, pt Point, reg *obs.Registry) (res *PointResult) {
 		}
 
 		if spec.Simulate {
-			missed, ok := simTrial(spec, pt, sys, res, reg)
+			missed, ok := simTrial(spec, pt, sys, remote, res, reg)
 			if ok && missed && rep.SchedulableResponse {
 				res.SimMissedAdmitted++
 			}
@@ -103,26 +104,20 @@ func runPoint(spec *Spec, pt Point, reg *obs.Registry) (res *PointResult) {
 }
 
 // pointBounds computes the per-task blocking bounds for the point's
-// protocol via the registry. RemoteSems only matters to the hybrid
-// protocol; every other analysis ignores it.
-func pointBounds(spec *Spec, pt Point, sys *task.System) (map[task.ID]*analysis.Bound, error) {
+// protocol via the registry. The remote group (the spec's RemoteSems)
+// only matters to the hybrid protocol; every other analysis ignores it.
+func pointBounds(pt Point, sys *task.System, deferredPenalty bool, remote map[task.SemID]bool) (map[task.ID]*analysis.Bound, error) {
 	return registry.Analyze(pt.Protocol, sys, registry.AnalyzeOpts{
-		DeferredPenalty: spec.DeferredPenalty,
-		RemoteSems:      spec.RemoteSems(),
+		DeferredPenalty: deferredPenalty,
+		RemoteSems:      remote,
 	})
-}
-
-// simProtocol builds the simulator protocol matching the point's
-// analysis.
-func simProtocol(spec *Spec, pt Point) (sim.Protocol, error) {
-	return registry.New(pt.Protocol, registry.Opts{RemoteSems: spec.RemoteSems()})
 }
 
 // simTrial runs one confirmation simulation under the point's tick
 // budget. It reports whether the run missed a deadline and whether the
 // run completed at all.
-func simTrial(spec *Spec, pt Point, sys *task.System, res *PointResult, reg *obs.Registry) (missed, ok bool) {
-	proto, err := simProtocol(spec, pt)
+func simTrial(spec *Spec, pt Point, sys *task.System, remote map[task.SemID]bool, res *PointResult, reg *obs.Registry) (missed, ok bool) {
+	proto, err := registry.New(pt.Protocol, registry.Opts{RemoteSems: remote})
 	if err != nil {
 		res.SimFailed++
 		return false, false

@@ -1,11 +1,16 @@
-// Package ceiling computes the priority structure of Section 4: P_H (the
-// highest assigned priority in the system), P_G (the base priority ceiling
-// for global semaphores, strictly greater than P_H), the local and global
-// priority ceilings of every semaphore, and the fixed execution priority
-// of every global critical section. Both protocol implementations
-// (internal/core, internal/dpcp) and the blocking analysis
-// (internal/analysis) derive their numbers from this one table, so the
-// worked examples of Tables 4-1 and 4-2 check a single source of truth.
+// Package ceiling presents the priority structure of Section 4 as a
+// map-based table: P_H (the highest assigned priority in the system), P_G
+// (the base priority ceiling for global semaphores, strictly greater than
+// P_H), the local and global priority ceilings of every semaphore, and
+// the fixed execution priority of every global critical section.
+//
+// The values themselves are compiled once, by task.System.Validate, into
+// the position-addressed task.Index (PH, PG, Ceiling, GcsPrio, and the
+// Prio of each task.Sec). Analyses and protocols read them there; Compute
+// only copies them into a Table for callers that want ID-keyed maps (the
+// public Ceilings facade, rtsched, the experiments, and the lock-time
+// lookups of internal/core and internal/hybrid). The worked examples of
+// Tables 4-1 and 4-2 therefore check the same single source of truth.
 package ceiling
 
 import "mpcp/internal/task"
@@ -42,41 +47,35 @@ type Table struct {
 	GcsPrio map[Key]int
 }
 
-// Compute builds the table for a validated system. When atCeiling is true,
-// every gcs executes at the full global ceiling of its semaphore, as the
-// message-based protocol of [8] prescribes and as the paper discusses as
-// the more pessimistic assignment.
+// Compute fills the table of a validated system from its compiled index.
+// When atCeiling is true, every gcs executes at the full global ceiling of
+// its semaphore, as the message-based protocol of [8] prescribes and as
+// the paper discusses as the more pessimistic assignment.
 func Compute(sys *task.System, atCeiling bool) *Table {
+	x := sys.Index()
 	t := &Table{
+		PH:         x.PH(),
+		PG:         x.PG(),
 		LocalCeil:  make(map[task.SemID]int),
 		GlobalCeil: make(map[task.SemID]int),
 		GcsPrio:    make(map[Key]int),
 	}
-	t.PH = sys.HighestPriority()
-	t.PG = t.PH + 1
-
-	for _, sem := range sys.Sems {
-		users := sys.TasksUsing(sem.ID)
+	for k, sem := range sys.Sems {
+		users := x.Users(k)
 		if len(users) == 0 {
 			continue
 		}
 		if !sem.Global {
-			t.LocalCeil[sem.ID] = users[0].Priority
+			t.LocalCeil[sem.ID] = x.Ceiling(k)
 			continue
 		}
-		t.GlobalCeil[sem.ID] = t.PG + users[0].Priority
+		t.GlobalCeil[sem.ID] = x.Ceiling(k)
 		for _, u := range users {
-			if atCeiling {
-				t.GcsPrio[Key{Task: u.ID, Sem: sem.ID}] = t.GlobalCeil[sem.ID]
-				continue
+			prio := x.Ceiling(k)
+			if !atCeiling {
+				prio = x.GcsPrio(k, u.Proc)
 			}
-			highestRemote := 0
-			for _, v := range users {
-				if v.Proc != u.Proc && v.Priority > highestRemote {
-					highestRemote = v.Priority
-				}
-			}
-			t.GcsPrio[Key{Task: u.ID, Sem: sem.ID}] = t.PG + highestRemote
+			t.GcsPrio[Key{Task: u.ID, Sem: sem.ID}] = prio
 		}
 	}
 	return t

@@ -12,7 +12,6 @@ package dpcp
 import (
 	"fmt"
 
-	"mpcp/internal/ceiling"
 	"mpcp/internal/pcp"
 	"mpcp/internal/pqueue"
 	"mpcp/internal/sim"
@@ -31,8 +30,6 @@ type Options struct {
 type Protocol struct {
 	opts Options
 
-	tbl *ceiling.Table
-
 	assign map[task.SemID]task.ProcID
 	locals map[task.ProcID]*pcp.Local
 	gsems  map[task.SemID]*gsem
@@ -45,6 +42,7 @@ type csKey struct {
 }
 
 type gsem struct {
+	ceil    int // global priority ceiling
 	busy    bool
 	waiters pqueue.Queue[*sim.Job]
 }
@@ -60,25 +58,24 @@ func (p *Protocol) Name() string { return "dpcp" }
 // Init implements sim.Protocol.
 func (p *Protocol) Init(e *sim.Engine) error {
 	sys := e.Sys()
-	p.tbl = ceiling.Compute(sys, true)
 
 	p.assign = make(map[task.SemID]task.ProcID)
 	p.gsems = make(map[task.SemID]*gsem)
 	p.csAt = make(map[csKey]task.CriticalSection)
 
-	for _, sem := range sys.Sems {
+	x := sys.Index()
+	for k, sem := range sys.Sems {
 		if !sem.Global {
 			continue
 		}
-		p.gsems[sem.ID] = &gsem{}
+		p.gsems[sem.ID] = &gsem{ceil: x.Ceiling(k)}
 		if proc, ok := p.opts.Assign[sem.ID]; ok {
 			if int(proc) >= sys.NumProcs || proc < 0 {
 				return fmt.Errorf("dpcp: semaphore %d assigned to invalid processor %d", sem.ID, proc)
 			}
 			p.assign[sem.ID] = proc
 		} else {
-			procs := sys.AccessorProcs(sem.ID)
-			p.assign[sem.ID] = procs[0]
+			p.assign[sem.ID] = x.ProcID(x.Accessors(k)[0])
 		}
 	}
 
@@ -103,7 +100,12 @@ func (p *Protocol) Init(e *sim.Engine) error {
 func (p *Protocol) SyncProc(s task.SemID) task.ProcID { return p.assign[s] }
 
 // GlobalCeiling returns the global priority ceiling of semaphore s.
-func (p *Protocol) GlobalCeiling(s task.SemID) int { return p.tbl.GlobalCeil[s] }
+func (p *Protocol) GlobalCeiling(s task.SemID) int {
+	if g, ok := p.gsems[s]; ok {
+		return g.ceil
+	}
+	return 0
+}
 
 // OnRelease implements sim.Protocol.
 func (p *Protocol) OnRelease(e *sim.Engine, j *sim.Job) {
@@ -137,7 +139,7 @@ func (p *Protocol) TryLock(e *sim.Engine, j *sim.Job, s task.SemID) bool {
 // at the global priority ceiling of its semaphore, per [8].
 func (p *Protocol) startAgent(e *sim.Engine, parent *sim.Job, cs task.CriticalSection) {
 	interior := parent.Body[cs.StartSeg+1 : cs.EndSeg]
-	prio := p.tbl.GlobalCeil[cs.Sem]
+	prio := p.gsems[cs.Sem].ceil
 	agent := e.SpawnAgent(parent, interior, p.assign[cs.Sem], prio, func(agent *sim.Job) {
 		p.agentDone(e, agent, cs)
 	})

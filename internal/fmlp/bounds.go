@@ -2,9 +2,9 @@ package fmlp
 
 import (
 	"fmt"
+	"slices"
 
 	"mpcp/internal/analysis"
-	"mpcp/internal/ceiling"
 	"mpcp/internal/task"
 )
 
@@ -49,164 +49,136 @@ func Bounds(sys *task.System, shortMax int, deferredPenalty bool) (map[task.ID]*
 	if shortMax == 0 {
 		shortMax = DefaultShortMax
 	}
-	short, _ := Split(sys, shortMax)
+	x := sys.Index()
+	longest := analysis.LongestGcs(sys)
+	short := shortSems(sys, longest, shortMax)
+	isLong := func(cs task.Sec) bool { return !short[cs.Sem] }
 
-	tbl := ceiling.Compute(sys, false)
-	out := make(map[task.ID]*analysis.Bound, len(sys.Tasks))
-
-	maxDur := analysis.LongestGcs(sys)
-	// rawSpin: busy-wait for one short request on s from proc, not
-	// counting grant delays — one critical section per other processor.
-	rawSpin := func(proc task.ProcID, s task.SemID) int {
+	// rawSpin: busy-wait for one short request on semaphore k from
+	// processor position q, not counting grant delays — one critical
+	// section per other processor.
+	rawSpin := func(q, k int) int {
 		total := 0
-		for _, q := range sys.AccessorProcs(s) {
-			if q != proc {
-				total += maxDur[q][s]
+		for a, p := range x.Accessors(k) {
+			if p != q {
+				total += longest[k][a]
 			}
 		}
 		return total
 	}
-	// npSpan: the longest stretch proc q can execute at the boost level
-	// on behalf of semaphore s — spin plus critical section for short
+	// npSpan: the longest stretch q can execute at the boost level on
+	// behalf of semaphore k — spin plus critical section for short
 	// resources, the critical section for long ones.
-	npSpan := func(q task.ProcID, s task.SemID) int {
-		d := maxDur[q][s]
-		if d == 0 {
+	npSpan := func(q, k int) int {
+		a := slices.Index(x.Accessors(k), q)
+		if a < 0 || longest[k][a] == 0 {
 			return 0
 		}
-		if short[s] {
-			return rawSpin(q, s) + d
+		if short[k] {
+			return rawSpin(q, k) + longest[k][a]
 		}
-		return d
+		return longest[k][a]
 	}
-	// grantDelay: boosted work already in progress on q that a grant
-	// of s to a job on q can queue behind — at most one span per other
+	// grantDelay: boosted work already in progress on q that a grant of
+	// k to a job on q can queue behind — at most one span per other
 	// global semaphore accessed from q.
-	grantDelay := func(q task.ProcID, s task.SemID) int {
-		total := 0
-		for _, s2 := range sys.Sems {
-			if s2.ID != s {
-				total += npSpan(q, s2.ID)
-			}
+	spans := make([]int, x.Procs())
+	for k := range sys.Sems {
+		for _, q := range x.Accessors(k) {
+			spans[q] += npSpan(q, k)
 		}
-		return total
+	}
+	grantDelay := func(q, k int) int { return spans[q] - npSpan(q, k) }
+	// spin[i] and boosted[i]: short-resource spin, and spin plus
+	// critical-section ticks at the boost level, of one job of task i.
+	spin, boosted := make([]int, len(sys.Tasks)), make([]int, len(sys.Tasks))
+	for i := range sys.Tasks {
+		for _, cs := range x.Global(i) {
+			if short[cs.Sem] {
+				spin[i] += rawSpin(x.Proc(i), cs.Sem)
+			}
+			boosted[i] += cs.Dur
+		}
+		boosted[i] += spin[i]
 	}
 
-	for _, ti := range sys.Tasks {
-		b := &analysis.Bound{Task: ti.ID}
-		gcsI := sys.GlobalSections(ti.ID)
+	onSem := analysis.GcsBySem(sys)
+
+	bs := make([]analysis.Bound, len(sys.Tasks))
+	for i, ti := range sys.Tasks {
+		b := &bs[i]
+		gcsI := x.Global(i)
 		nLong := 0
 		for _, cs := range gcsI {
-			if !short[cs.Sem] {
+			if isLong(cs) {
 				nLong++
 			}
 		}
 
 		// Factor 1: one PCP local section per suspension window.
-		maxLcs := 0
-		for _, tk := range sys.TasksOn(ti.Proc) {
-			if tk.Priority >= ti.Priority {
-				continue
-			}
-			for _, cs := range sys.LocalSections(tk.ID) {
-				if tbl.LocalCeil[cs.Sem] >= ti.Priority && cs.Duration > maxLcs {
-					maxLcs = cs.Duration
-				}
-			}
-		}
-		b.LocalBlocking = (nLong + 1) * maxLcs
+		b.LocalBlocking = (nLong + 1) * analysis.ArrivalBlocking(sys, i)
 
 		for _, cs := range gcsI {
 			if short[cs.Sem] {
 				// Factor 3 slot: FIFO spin, one section plus grant
 				// delay per other processor.
-				for _, q := range sys.AccessorProcs(cs.Sem) {
-					if q == ti.Proc || maxDur[q][cs.Sem] == 0 {
-						continue
+				for a, q := range x.Accessors(cs.Sem) {
+					if q != x.Proc(i) && longest[cs.Sem][a] != 0 {
+						b.RemotePreemption += longest[cs.Sem][a] + grantDelay(q, cs.Sem)
 					}
-					b.RemotePreemption += maxDur[q][cs.Sem] + grantDelay(q, cs.Sem)
 				}
 				continue
 			}
 			// Factor 2 slot: FIFO suspension wait — every conflicting
 			// request that can arrive within the period precedes ours
-			// in the worst case.
-			for _, tk := range sys.Tasks {
-				if tk.ID == ti.ID {
-					continue
+			// in the worst case: each other task's longest section on
+			// the semaphore (its sections there are adjacent in refs).
+			refs := onSem[cs.Sem]
+			for n := 0; n < len(refs); {
+				j, dur := refs[n].Task, 0
+				for ; n < len(refs) && refs[n].Task == j; n++ {
+					dur = max(dur, refs[n].Dur)
 				}
-				dur := 0
-				for _, other := range sys.GlobalSections(tk.ID) {
-					if other.Sem == cs.Sem && other.Duration > dur {
-						dur = other.Duration
-					}
-				}
-				if dur > 0 {
-					b.GlobalHeldByLower += analysis.Interferes(ti.Period, tk) *
-						(dur + grantDelay(tk.Proc, cs.Sem))
+				if j != i && dur > 0 {
+					b.GlobalHeldByLower += analysis.Interferes(ti.Period, sys.Tasks[j]) * (dur + grantDelay(x.Proc(j), cs.Sem))
 				}
 			}
 		}
 
-		// boostedPerJob: spin plus critical-section ticks one job of t
-		// executes at the boost level.
-		boostedPerJob := func(t *task.Task) int {
-			total := 0
-			for _, cs := range sys.GlobalSections(t.ID) {
-				if short[cs.Sem] {
-					total += rawSpin(t.Proc, cs.Sem) + cs.Duration
-				} else {
-					total += cs.Duration
-				}
-			}
-			return total
-		}
-
-		for _, tj := range sys.TasksOn(ti.Proc) {
-			if tj.ID == ti.ID {
-				continue
-			}
-			if tj.Priority > ti.Priority {
+		for _, j := range x.OnProc(x.Proc(i)) {
+			tj := sys.Tasks[j]
+			switch {
+			case tj.Priority > ti.Priority && spin[j] > 0:
 				// Factor 4 slot: spin cycles above the charged WCET.
-				spin := 0
-				for _, cs := range sys.GlobalSections(tj.ID) {
-					if short[cs.Sem] {
-						spin += rawSpin(tj.Proc, cs.Sem)
-					}
-				}
-				if spin > 0 {
-					b.BlockingProcGcs += analysis.Interferes(ti.Period, tj) * spin
-				}
-				continue
-			}
-			// Factor 5 slot: boosted execution of lower-priority local
-			// jobs displaces us regardless of our priority.
-			if boosted := boostedPerJob(tj); boosted > 0 {
-				b.LowerLocalGcs += analysis.Interferes(ti.Period, tj) * boosted
+				b.BlockingProcGcs += analysis.Interferes(ti.Period, tj) * spin[j]
+			case tj.Priority < ti.Priority && boosted[j] > 0:
+				// Factor 5 slot: boosted execution of lower-priority
+				// local jobs displaces us regardless of our priority.
+				b.LowerLocalGcs += analysis.Interferes(ti.Period, tj) * boosted[j]
 			}
 		}
 
 		if deferredPenalty {
-			for _, tj := range sys.TasksOn(ti.Proc) {
-				if tj.Priority <= ti.Priority {
-					continue
-				}
-				suspends := false
-				for _, cs := range sys.GlobalSections(tj.ID) {
-					if !short[cs.Sem] {
-						suspends = true
-						break
-					}
-				}
-				if suspends {
-					b.DeferredPenalty += tj.WCET()
+			for _, j := range x.OnProc(x.Proc(i)) {
+				if sys.Tasks[j].Priority > ti.Priority && slices.ContainsFunc(x.Global(j), isLong) {
+					b.DeferredPenalty += x.WCET(j)
 				}
 			}
 		}
-
-		b.Total = b.LocalBlocking + b.GlobalHeldByLower + b.RemotePreemption +
-			b.BlockingProcGcs + b.LowerLocalGcs + b.DeferredPenalty
-		out[ti.ID] = b
 	}
-	return out, nil
+	return analysis.Keyed(sys, bs), nil
+}
+
+// shortSems marks, by semaphore position, the global semaphores whose
+// longest critical section over all users is at most shortMax ticks.
+func shortSems(sys *task.System, longest [][]int, shortMax int) []bool {
+	short := make([]bool, len(sys.Sems))
+	for k, sem := range sys.Sems {
+		worst := 0
+		for _, d := range longest[k] {
+			worst = max(worst, d)
+		}
+		short[k] = sem.Global && worst <= shortMax
+	}
+	return short
 }

@@ -19,7 +19,7 @@ package fmlp
 import (
 	"fmt"
 
-	"mpcp/internal/ceiling"
+	"mpcp/internal/analysis"
 	"mpcp/internal/pcp"
 	"mpcp/internal/pqueue"
 	"mpcp/internal/sim"
@@ -44,7 +44,6 @@ type Options struct {
 type Protocol struct {
 	opts Options
 
-	tbl    *ceiling.Table
 	npPrio int // boost level for spinners and long-resource holders
 
 	locals map[task.ProcID]*pcp.Local
@@ -85,21 +84,10 @@ func (p *Protocol) ShortMax() int { return p.opts.ShortMax }
 func Split(sys *task.System, shortMax int) (short, long map[task.SemID]bool) {
 	short = make(map[task.SemID]bool)
 	long = make(map[task.SemID]bool)
-	maxDur := make(map[task.SemID]int)
-	for _, t := range sys.Tasks {
-		for _, cs := range sys.GlobalSections(t.ID) {
-			if cs.Duration > maxDur[cs.Sem] {
-				maxDur[cs.Sem] = cs.Duration
-			}
-		}
-	}
-	for _, sem := range sys.Sems {
-		if !sem.Global {
-			continue
-		}
-		if maxDur[sem.ID] <= shortMax {
+	for k, isShort := range shortSems(sys, analysis.LongestGcs(sys), shortMax) {
+		if sem := sys.Sems[k]; isShort {
 			short[sem.ID] = true
-		} else {
+		} else if sem.Global {
 			long[sem.ID] = true
 		}
 	}
@@ -109,18 +97,18 @@ func Split(sys *task.System, shortMax int) (short, long map[task.SemID]bool) {
 // Init implements sim.Protocol.
 func (p *Protocol) Init(e *sim.Engine) error {
 	sys := e.Sys()
-	p.tbl = ceiling.Compute(sys, false)
-	p.npPrio = p.tbl.PG + p.tbl.PH + 1
+	x := sys.Index()
+	p.npPrio = x.PG() + x.PH() + 1
 	p.prev = make(map[*sim.Job]int)
 	p.boosted = make(map[*sim.Job]bool)
 	if cs := sys.NestedGlobal(); cs != nil {
 		return fmt.Errorf("fmlp: task %d has a nested global critical section on semaphore %d; FMLP+ requires non-nested global sections", cs.Task, cs.Sem)
 	}
-	_, long := Split(sys, p.opts.ShortMax)
+	short := shortSems(sys, analysis.LongestGcs(sys), p.opts.ShortMax)
 	p.gsems = make(map[task.SemID]*gsem)
-	for _, sem := range sys.Sems {
+	for k, sem := range sys.Sems {
 		if sem.Global {
-			p.gsems[sem.ID] = &gsem{long: long[sem.ID]}
+			p.gsems[sem.ID] = &gsem{long: !short[k]}
 		}
 	}
 	p.locals = make(map[task.ProcID]*pcp.Local, sys.NumProcs)

@@ -48,7 +48,10 @@ func (s Scoped) Applies(importPath string) bool {
 //     hybrid, msrp, fmlp) are in scope too: their hooks run inside the
 //     simulator and decide wake order and FCFS sequence numbers, so a
 //     map range there reorders trace events, and their bounds feed the
-//     campaign verdicts.
+//     campaign verdicts. So do the analyses themselves: analysis (the
+//     Section 5.1 factors and Theorem 3), ceiling (the map-based view of
+//     the Section 4 table) and registry (analysis dispatch), whose
+//     bounds decide every campaign point's verdict.
 //   - lockdiscipline guards every package that holds a sync mutex near
 //     the substrate or its observers: shmem, pqueue, obs, server — and
 //     the dist coordinator, whose single mutex orders all job state.
@@ -92,6 +95,9 @@ func DefaultSuite() []Scoped {
 				"mpcp/internal/hybrid",
 				"mpcp/internal/msrp",
 				"mpcp/internal/fmlp",
+				"mpcp/internal/analysis",
+				"mpcp/internal/ceiling",
+				"mpcp/internal/registry",
 			},
 		},
 		{

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mpcp/internal/analysis"
-	"mpcp/internal/ceiling"
 	"mpcp/internal/task"
 )
 
@@ -46,84 +45,58 @@ func Bounds(sys *task.System) (map[task.ID]*analysis.Bound, error) {
 		return nil, fmt.Errorf("%w: task %d semaphore %d", analysis.ErrNestedGlobal, cs.Task, cs.Sem)
 	}
 
-	tbl := ceiling.Compute(sys, false)
-	out := make(map[task.ID]*analysis.Bound, len(sys.Tasks))
-
-	maxDur := analysis.LongestGcs(sys)
-	// spinReq(t, s): worst-case busy-wait of one request by task t on
-	// semaphore s — one critical section per other processor, FIFO.
-	spinReq := func(t *task.Task, s task.SemID) int {
+	x := sys.Index()
+	longest := analysis.LongestGcs(sys)
+	// spinReq(q, k): worst-case busy-wait of one request from processor
+	// position q on semaphore k — one critical section per other
+	// processor, FIFO.
+	spinReq := func(q, k int) int {
 		total := 0
-		for _, proc := range sys.AccessorProcs(s) {
-			if proc == t.Proc {
-				continue
+		for a, p := range x.Accessors(k) {
+			if p != q {
+				total += longest[k][a]
 			}
-			total += maxDur[proc][s]
 		}
 		return total
 	}
-	// spinPerJob(t): total busy-wait of one job of t across all of its
+	// spin[i]: total busy-wait of one job of task i across all of its
 	// global requests.
-	spinPerJob := func(t *task.Task) int {
-		total := 0
-		for _, cs := range sys.GlobalSections(t.ID) {
-			total += spinReq(t, cs.Sem)
+	spin := make([]int, len(sys.Tasks))
+	for i := range sys.Tasks {
+		for _, cs := range x.Global(i) {
+			spin[i] += spinReq(x.Proc(i), cs.Sem)
 		}
-		return total
 	}
 
-	for _, ti := range sys.Tasks {
-		b := &analysis.Bound{Task: ti.ID}
+	bs := make([]analysis.Bound, len(sys.Tasks))
+	for i, ti := range sys.Tasks {
+		b := &bs[i]
 
 		// Factor 1: PCP arrival blocking through one local critical
 		// section with ceiling >= P_i.
-		maxLcs := 0
-		for _, tk := range sys.TasksOn(ti.Proc) {
-			if tk.Priority >= ti.Priority {
-				continue
-			}
-			for _, cs := range sys.LocalSections(tk.ID) {
-				if tbl.LocalCeil[cs.Sem] >= ti.Priority && cs.Duration > maxLcs {
-					maxLcs = cs.Duration
-				}
-			}
-		}
-		b.LocalBlocking = maxLcs
+		b.LocalBlocking = analysis.ArrivalBlocking(sys, i)
 
 		// Factor 3 slot: own spin time, once per request.
-		for _, cs := range sys.GlobalSections(ti.ID) {
-			b.RemotePreemption += spinReq(ti, cs.Sem)
-		}
+		b.RemotePreemption = spin[i]
 
-		// Factor 4 slot: spin cycles of higher-priority local releases
-		// within the period, on top of their WCET.
-		for _, tj := range sys.TasksOn(ti.Proc) {
-			if tj.Priority <= ti.Priority {
+		for _, j := range x.OnProc(x.Proc(i)) {
+			tj := sys.Tasks[j]
+			if tj.Priority > ti.Priority {
+				// Factor 4 slot: spin cycles of higher-priority local
+				// releases within the period, on top of their WCET.
+				if spin[j] > 0 {
+					b.BlockingProcGcs += analysis.Interferes(ti.Period, tj) * spin[j]
+				}
 				continue
 			}
-			if spin := spinPerJob(tj); spin > 0 {
-				b.BlockingProcGcs += analysis.Interferes(ti.Period, tj) * spin
-			}
-		}
-
-		// Factor 5 slot: one non-preemptive section (spin + gcs) of a
-		// lower-priority local job at arrival.
-		maxNpSpan := 0
-		for _, tk := range sys.TasksOn(ti.Proc) {
-			if tk.Priority >= ti.Priority {
-				continue
-			}
-			for _, cs := range sys.GlobalSections(tk.ID) {
-				if span := spinReq(tk, cs.Sem) + cs.Duration; span > maxNpSpan {
-					maxNpSpan = span
+			// Factor 5 slot: one non-preemptive section (spin + gcs) of
+			// a lower-priority local job at arrival.
+			for _, cs := range x.Global(j) {
+				if j != i {
+					b.LowerLocalGcs = max(b.LowerLocalGcs, spinReq(x.Proc(j), cs.Sem)+cs.Dur)
 				}
 			}
 		}
-		b.LowerLocalGcs = maxNpSpan
-
-		b.Total = b.LocalBlocking + b.GlobalHeldByLower + b.RemotePreemption +
-			b.BlockingProcGcs + b.LowerLocalGcs + b.DeferredPenalty
-		out[ti.ID] = b
 	}
-	return out, nil
+	return analysis.Keyed(sys, bs), nil
 }

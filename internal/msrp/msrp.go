@@ -21,7 +21,6 @@ package msrp
 import (
 	"fmt"
 
-	"mpcp/internal/ceiling"
 	"mpcp/internal/pcp"
 	"mpcp/internal/pqueue"
 	"mpcp/internal/sim"
@@ -31,7 +30,6 @@ import (
 // Protocol is the MSRP protocol. Build with New; the zero value is not
 // usable.
 type Protocol struct {
-	tbl    *ceiling.Table
 	npPrio int // non-preemptive execution level, above every gcs priority
 
 	locals map[task.ProcID]*pcp.Local
@@ -62,8 +60,8 @@ func (p *Protocol) Name() string { return "msrp" }
 // could deadlock across processors.
 func (p *Protocol) Init(e *sim.Engine) error {
 	sys := e.Sys()
-	p.tbl = ceiling.Compute(sys, false)
-	p.npPrio = p.tbl.PG + p.tbl.PH + 1
+	x := sys.Index()
+	p.npPrio = x.PG() + x.PH() + 1
 	p.gsems = make(map[task.SemID]*gsem)
 	p.prev = make(map[*sim.Job]int)
 	p.boosted = make(map[*sim.Job]bool)

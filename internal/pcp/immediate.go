@@ -3,7 +3,6 @@ package pcp
 import (
 	"fmt"
 
-	"mpcp/internal/ceiling"
 	"mpcp/internal/sim"
 	"mpcp/internal/task"
 )
@@ -25,7 +24,7 @@ import (
 // request, which is exactly why the paper calls the fixed gcs priority
 // assignment a cheap implementation of inheritance.
 type Immediate struct {
-	tbl *ceiling.Table
+	idx *task.Index
 	// prioStack restores pre-lock priorities on unlock (sections may
 	// nest locally).
 	prioStack map[*sim.Job][]int
@@ -48,7 +47,7 @@ func (p *Immediate) Init(e *sim.Engine) error {
 			return fmt.Errorf("pcp: semaphore %d is global; the immediate variant is uniprocessor-only", sem.ID)
 		}
 	}
-	p.tbl = ceiling.Compute(sys, false)
+	p.idx = sys.Index()
 	p.prioStack = make(map[*sim.Job][]int)
 	return nil
 }
@@ -66,8 +65,8 @@ func (p *Immediate) OnRelease(e *sim.Engine, j *sim.Job) {
 func (p *Immediate) TryLock(e *sim.Engine, j *sim.Job, s task.SemID) bool {
 	p.prioStack[j] = append(p.prioStack[j], j.EffPrio)
 	e.CompleteLock(j, s)
-	if c := p.tbl.LocalCeil[s]; c > j.EffPrio {
-		e.SetEffPrio(j, c)
+	if k, ok := p.idx.SemPos(s); ok && p.idx.Ceiling(k) > j.EffPrio {
+		e.SetEffPrio(j, p.idx.Ceiling(k))
 	}
 	return true
 }

@@ -1,6 +1,7 @@
 package registry_test
 
 import (
+	"runtime"
 	"testing"
 
 	"mpcp/internal/registry"
@@ -11,16 +12,17 @@ import (
 // analyzeAllocCeilings pins the allocations of one registry.Analyze call
 // on the DefaultWorkload(1) system (workload.Default(1)). Each ceiling is
 // the count measured with Go 1.24 plus about a quarter. The task system's
-// derived structure is compiled once at Validate, so an analysis that
-// re-derives it per task (a scan and sort per TasksOn or TasksUsing call,
-// or a ceiling table per task) exceeds its ceiling.
+// derived structure and its Section 4 ceilings are compiled once at
+// Validate and the bound loops use dense scratch, so an analysis that
+// re-derives them per call (a ceiling table, a map per task or per
+// processor) exceeds its ceiling.
 var analyzeAllocCeilings = map[string]float64{
-	"mpcp":      60, // measured 48
-	"mpcp-ceil": 60, // measured 48
-	"dpcp":      66, // measured 53
-	"hybrid":    58, // measured 46
-	"msrp":      48, // measured 38
-	"fmlp":      52, // measured 41
+	"mpcp":      18, // measured 14
+	"mpcp-ceil": 18, // measured 14
+	"dpcp":      15, // measured 12
+	"hybrid":    26, // measured 21
+	"msrp":      10, // measured 8
+	"fmlp":      18, // measured 14
 }
 
 func TestAnalyzeAllocs(t *testing.T) {
@@ -51,12 +53,14 @@ func TestAnalyzeAllocs(t *testing.T) {
 // per-processor run lists and the inheritance fixpoints (pcp.Local for
 // the first five, proto.Inherit for inherit) reuse buffers they own, so
 // a map or slice built per unlock or per job finish exceeds its ceiling.
+// dpcp, msrp and fmlp read the ceilings Validate compiled, so a ceiling
+// table built at Init exceeds theirs too.
 var simulateAllocCeilings = map[string]float64{
 	"mpcp":    333, // measured 266
-	"dpcp":    374, // measured 299
+	"dpcp":    361, // measured 289
 	"hybrid":  359, // measured 287
-	"msrp":    274, // measured 219
-	"fmlp":    278, // measured 222
+	"msrp":    261, // measured 209
+	"fmlp":    265, // measured 212
 	"inherit": 234, // measured 187
 }
 
@@ -82,5 +86,38 @@ func TestSimulateAllocs(t *testing.T) {
 		if ceiling := simulateAllocCeilings[name]; got > ceiling {
 			t.Errorf("%s: simulation allocates %v times per run, ceiling %v", name, got, ceiling)
 		}
+	}
+}
+
+// generateCeilings pin one workload.Generate(workload.Default(1)): the
+// allocation count and the bytes allocated, each measured with Go 1.24
+// plus about a quarter. Generate reseeds a pooled generator, so a fresh
+// rand.NewSource per call (about 4.9 KB of source state) exceeds the
+// byte ceiling.
+const (
+	generateAllocCeiling = 124   // measured 99
+	generateByteCeiling  = 19300 // measured 15,432
+)
+
+func TestGenerateAllocs(t *testing.T) {
+	cfg := workload.Default(1)
+	generate := func() {
+		if _, err := workload.Generate(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := testing.AllocsPerRun(20, generate); got > generateAllocCeiling {
+		t.Errorf("workload.Generate allocates %v times per call, ceiling %v", got, generateAllocCeiling)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		generate()
+	}
+	runtime.ReadMemStats(&after)
+	if got := float64(after.TotalAlloc-before.TotalAlloc) / runs; got > generateByteCeiling {
+		t.Errorf("workload.Generate allocates %.0f bytes per call, ceiling %d", got, generateByteCeiling)
 	}
 }

@@ -4,12 +4,14 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
+	"mpcp/internal/ceiling"
 	"mpcp/internal/task"
 	"mpcp/internal/workload"
 )
@@ -91,6 +93,154 @@ func refNestedGlobal(s *task.System) *task.CriticalSection {
 	return nil
 }
 
+// refCeilings is the map-building ceiling.Compute that the ceilings
+// compiled at Validate replaced, over the reference users above.
+func refCeilings(sys *task.System, atCeiling bool) *ceiling.Table {
+	t := &ceiling.Table{
+		LocalCeil:  make(map[task.SemID]int),
+		GlobalCeil: make(map[task.SemID]int),
+		GcsPrio:    make(map[ceiling.Key]int),
+	}
+	for i, tk := range sys.Tasks {
+		if i == 0 || tk.Priority > t.PH {
+			t.PH = tk.Priority
+		}
+	}
+	t.PG = t.PH + 1
+
+	for _, sem := range sys.Sems {
+		users := refTasksUsing(sys, sem.ID)
+		if len(users) == 0 {
+			continue
+		}
+		if !sem.Global {
+			t.LocalCeil[sem.ID] = users[0].Priority
+			continue
+		}
+		t.GlobalCeil[sem.ID] = t.PG + users[0].Priority
+		for _, u := range users {
+			if atCeiling {
+				t.GcsPrio[ceiling.Key{Task: u.ID, Sem: sem.ID}] = t.GlobalCeil[sem.ID]
+				continue
+			}
+			highestRemote := 0
+			for _, v := range users {
+				if v.Proc != u.Proc && v.Priority > highestRemote {
+					highestRemote = v.Priority
+				}
+			}
+			t.GcsPrio[ceiling.Key{Task: u.ID, Sem: sem.ID}] = t.PG + highestRemote
+		}
+	}
+	return t
+}
+
+// checkCompiled compares the position-addressed view of a validated
+// system with the ID-keyed helpers and with refCeilings: P_H and P_G, every
+// semaphore's ceiling, every section's position, duration and priority
+// under both gcs priority assignments, WCETs, processor positions, and the
+// ceiling.Compute adapter's tables.
+func checkCompiled(t *testing.T, name string, s *task.System) {
+	t.Helper()
+	x := s.Index()
+	for _, atCeiling := range []bool{false, true} {
+		ref := refCeilings(s, atCeiling)
+		if got := ceiling.Compute(s, atCeiling); !reflect.DeepEqual(got, ref) {
+			t.Errorf("%s: ceiling.Compute(atCeiling=%v) = %+v, want %+v", name, atCeiling, got, ref)
+		}
+		if x.PH() != ref.PH || x.PG() != ref.PG {
+			t.Errorf("%s: PH, PG = %d, %d, want %d, %d", name, x.PH(), x.PG(), ref.PH, ref.PG)
+		}
+		for k, sem := range s.Sems {
+			want, ok := ref.GlobalCeil[sem.ID]
+			if !sem.Global {
+				want, ok = ref.LocalCeil[sem.ID]
+			}
+			if got := x.Ceiling(k); got != want || (!ok && len(x.Users(k)) != 0) {
+				t.Errorf("%s: Ceiling(%d) = %d, want %d (tabled %v)", name, k, got, want, ok)
+			}
+		}
+		for i, tk := range s.Tasks {
+			checkSecs(t, name, s, tk, x.Global(i), s.GlobalSections(tk.ID), ref, atCeiling)
+			checkSecs(t, name, s, tk, x.Local(i), s.LocalSections(tk.ID), ref, atCeiling)
+		}
+	}
+	var onProc []int
+	for q := 0; q < x.Procs(); q++ {
+		for _, i := range x.OnProc(q) {
+			if x.Proc(i) != q || !slices.Equal(s.TasksOn(s.Tasks[i].Proc), tasksAt(s, x.OnProc(q))) {
+				t.Errorf("%s: processor position %d lists task %d of position %d", name, q, i, x.Proc(i))
+			}
+			onProc = append(onProc, i)
+		}
+	}
+	for i, tk := range s.Tasks {
+		if x.WCET(i) != tk.WCET() {
+			t.Errorf("%s: WCET(%d) = %d, want %d", name, i, x.WCET(i), tk.WCET())
+		}
+		if pos, ok := x.TaskPos(tk.ID); !ok || pos != i {
+			t.Errorf("%s: TaskPos(%d) = %d, %v, want %d", name, tk.ID, pos, ok, i)
+		}
+	}
+	if slices.Sort(onProc); !slices.Equal(onProc, tasksIndices(len(s.Tasks))) {
+		t.Errorf("%s: processor positions list tasks %v", name, onProc)
+	}
+	for k, sem := range s.Sems {
+		var procs []task.ProcID
+		for _, q := range x.Accessors(k) {
+			procs = append(procs, x.ProcID(q))
+		}
+		if !slices.Equal(procs, s.AccessorProcs(sem.ID)) {
+			t.Errorf("%s: Accessors(%d) name processors %v, want %v", name, k, procs, s.AccessorProcs(sem.ID))
+		}
+		if pos, ok := x.SemPos(sem.ID); !ok || pos != k {
+			t.Errorf("%s: SemPos(%d) = %d, %v, want %d", name, sem.ID, pos, ok, k)
+		}
+	}
+}
+
+// checkSecs compares task tk's compiled sections with its critical
+// sections and the reference priorities: a global section's gcs priority,
+// or under atCeiling its semaphore's global ceiling, and a local section's
+// ceiling.
+func checkSecs(t *testing.T, name string, s *task.System, tk *task.Task, secs []task.Sec, css []task.CriticalSection,
+	ref *ceiling.Table, atCeiling bool) {
+	t.Helper()
+	if len(secs) != len(css) {
+		t.Errorf("%s: task %d has %d compiled sections, want %d", name, tk.ID, len(secs), len(css))
+		return
+	}
+	for n, sec := range secs {
+		cs, got, want := css[n], sec.Prio, ref.LocalCeil[css[n].Sem]
+		if cs.Global {
+			want = ref.GcsPrio[ceiling.Key{Task: tk.ID, Sem: cs.Sem}]
+			if atCeiling {
+				got = s.Index().Ceiling(sec.Sem)
+			}
+		}
+		if s.Sems[sec.Sem].ID != cs.Sem || sec.Dur != cs.Duration || got != want {
+			t.Errorf("%s: task %d section %d = %+v (priority %d), want semaphore %d, %d ticks, priority %d",
+				name, tk.ID, n, sec, got, cs.Sem, cs.Duration, want)
+		}
+	}
+}
+
+func tasksAt(s *task.System, pos []int) []*task.Task {
+	out := make([]*task.Task, len(pos))
+	for n, i := range pos {
+		out[n] = s.Tasks[i]
+	}
+	return out
+}
+
+func tasksIndices(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
 // unknownSem and unknownTask name no semaphore or task of any system the
 // tests build.
 const (
@@ -142,6 +292,7 @@ func checkIndex(t *testing.T, name string, s *task.System) {
 			t.Errorf("%s: LocalSections(%d) = %+v, want %+v", name, id, got, want)
 		}
 	}
+	checkCompiled(t, name, s)
 }
 
 // TestIndexMatchesReferenceGenerated covers generated campaign workloads

@@ -182,43 +182,137 @@ type System struct {
 	ReleaseSeed int64
 
 	// Derived by Validate:
-	idx       index
+	idx       Index
 	validated bool
 }
 
-// index is the structure Validate compiles once: every derived lookup
-// below returns one of its slices without copying. Each slice is clipped
-// to its length, so an append by a caller copies rather than overwriting
-// its neighbour in the shared backing array.
-type index struct {
+// Index is the structure Validate compiles once. It addresses tasks,
+// semaphores and processors by position: task i is Tasks[i], semaphore k
+// is Sems[k], and processor positions number the processors that have
+// tasks, in order of first appearance in Tasks. Analyses and protocols
+// read it through System.Index; the ID-keyed helpers of System are thin
+// wrappers that translate an ID through one map and return the same
+// slices. Every slice is shared and clipped to its length, so an append
+// by a caller copies rather than overwriting its neighbour in the shared
+// backing array; none may be modified.
+type Index struct {
 	taskPos   map[ID]int       // position in Tasks
 	semPos    map[SemID]int    // position in Sems
+	procPos   map[ProcID]int   // processor position
 	tasks     []taskIndex      // parallel to Tasks
 	users     [][]*Task        // parallel to Sems, descending priority
 	accessors [][]ProcID       // parallel to Sems, ascending
-	procPos   map[ProcID]int   // position in onProc
-	onProc    [][]*Task        // per processor, descending priority
+	accPos    [][]int          // parallel to accessors: processor positions
+	ceil      []int            // parallel to Sems: Section 4 ceilings
+	onProc    [][]*Task        // per processor position, descending priority
+	procTasks [][]int          // parallel to onProc: task positions
 	nested    *CriticalSection // first nested global section, or nil
+	ph        int              // P_H
 }
 
 type taskIndex struct {
 	all    []CriticalSection // every section, in the order of its V(S)
 	global []CriticalSection // outermost global sections
 	local  []CriticalSection // local sections
+	gsecs  []Sec             // parallel to global
+	lsecs  []Sec             // parallel to local
+	wcet   int
+	proc   int // processor position
 }
 
-func (x *index) task(id ID) taskIndex {
+// Sec is the position-addressed form of an outermost global or a local
+// critical section: the position of its semaphore in Sems, its compute
+// ticks, and the priority Section 4 gives it. For a global section that is
+// the gcs execution priority P_G + P_h of Section 4.4; for a local one it
+// is the semaphore's priority ceiling.
+type Sec struct {
+	Sem  int
+	Dur  int
+	Prio int
+}
+
+func (x *Index) task(id ID) taskIndex {
 	if i, ok := x.taskPos[id]; ok {
 		return x.tasks[i]
 	}
 	return taskIndex{}
 }
 
-func (x *index) sem(id SemID) (users []*Task, accessors []ProcID) {
+func (x *Index) sem(id SemID) (users []*Task, accessors []ProcID) {
 	if k, ok := x.semPos[id]; ok {
 		return x.users[k], x.accessors[k]
 	}
 	return nil, nil
+}
+
+// Index returns the position-addressed view Validate compiled. The System
+// must have been validated.
+func (s *System) Index() *Index { return &s.idx }
+
+// PH returns P_H, the highest priority assigned to any task (Section 4.4).
+func (x *Index) PH() int { return x.ph }
+
+// PG returns P_G, the base priority ceiling of global semaphores: P_H + 1.
+func (x *Index) PG() int { return x.ph + 1 }
+
+// WCET returns C_i of task i.
+func (x *Index) WCET(i int) int { return x.tasks[i].wcet }
+
+// Proc returns the processor position of task i.
+func (x *Index) Proc(i int) int { return x.tasks[i].proc }
+
+// Global returns the outermost global sections of task i, in body order.
+func (x *Index) Global(i int) []Sec { return x.tasks[i].gsecs }
+
+// Local returns the local sections of task i, in body order.
+func (x *Index) Local(i int) []Sec { return x.tasks[i].lsecs }
+
+// Procs returns the number of processor positions: the processors that
+// have tasks.
+func (x *Index) Procs() int { return len(x.procTasks) }
+
+// ProcID returns the processor at position q.
+func (x *Index) ProcID(q int) ProcID { return x.onProc[q][0].Proc }
+
+// OnProc returns the positions of the tasks on processor position q, by
+// descending priority.
+func (x *Index) OnProc(q int) []int { return x.procTasks[q] }
+
+// Users returns the tasks that access semaphore k, by descending priority.
+func (x *Index) Users(k int) []*Task { return x.users[k] }
+
+// Accessors returns the processor positions from which semaphore k is
+// accessed, in ascending processor order.
+func (x *Index) Accessors(k int) []int { return x.accPos[k] }
+
+// Ceiling returns the priority ceiling of semaphore k (Section 4): the
+// priority of its highest-priority user for a local semaphore, P_G plus
+// that priority for a global one, and 0 for a semaphore nobody uses.
+func (x *Index) Ceiling(k int) int { return x.ceil[k] }
+
+// GcsPrio returns the Section 4.4 execution priority of a gcs on global
+// semaphore k issued from processor p: P_G plus the highest priority of
+// the semaphore's users on other processors, or P_G when there is none
+// above zero.
+func (x *Index) GcsPrio(k int, p ProcID) int {
+	for _, u := range x.users[k] { // descending priority: the first remote user is the highest
+		if u.Proc != p {
+			return x.PG() + max(u.Priority, 0)
+		}
+	}
+	return x.PG()
+}
+
+// TaskPos returns the position of task id in Tasks.
+func (x *Index) TaskPos(id ID) (int, bool) {
+	i, ok := x.taskPos[id]
+	return i, ok
+}
+
+// SemPos returns the position of semaphore id in Sems.
+func (x *Index) SemPos(id SemID) (int, bool) {
+	k, ok := x.semPos[id]
+	return k, ok
 }
 
 // carve returns one empty slice per count, all sharing one backing array
@@ -418,21 +512,30 @@ func (s *System) Validate(opts ValidateOptions) error {
 	// Visiting tasks by descending priority fills each processor's task
 	// list and each semaphore's users in that order. A semaphore's
 	// accessors are its users' processors, and more than one makes it
-	// global (Section 4.2).
-	byPrio := slices.Clone(s.Tasks)
-	slices.SortFunc(byPrio, func(a, b *Task) int { return cmp.Compare(b.Priority, a.Priority) })
-	idx := index{
+	// global (Section 4.2). Its ceiling is its highest user's priority,
+	// raised by P_G when it is global (Section 4.4).
+	byPrio := make([]int, len(s.Tasks))
+	for i := range byPrio {
+		byPrio[i] = i
+	}
+	slices.SortFunc(byPrio, func(a, b int) int { return cmp.Compare(s.Tasks[b].Priority, s.Tasks[a].Priority) })
+	idx := Index{
 		taskPos:   taskPos,
 		semPos:    semPos,
 		procPos:   procPos,
 		tasks:     make([]taskIndex, len(s.Tasks)),
 		onProc:    carve[*Task](perProc, len(s.Tasks)),
+		procTasks: carve[int](perProc, len(s.Tasks)),
 		users:     carve[*Task](locks, nSecs),
 		accessors: carve[ProcID](locks, nSecs),
+		accPos:    carve[int](locks, nSecs),
+		ceil:      make([]int, len(s.Sems)),
+		ph:        s.HighestPriority(),
 	}
-	for _, t := range byPrio {
-		on := &idx.onProc[procPos[t.Proc]]
-		*on = append(*on, t)
+	for _, i := range byPrio {
+		t, q := s.Tasks[i], procPos[s.Tasks[i].Proc]
+		idx.onProc[q] = append(idx.onProc[q], t)
+		idx.procTasks[q] = append(idx.procTasks[q], i)
 		for _, seg := range t.Body {
 			if seg.Kind != SegLock {
 				continue
@@ -449,21 +552,40 @@ func (s *System) Validate(opts ValidateOptions) error {
 		}
 		slices.Sort(idx.accessors[k])
 		idx.users[k], idx.accessors[k] = slices.Clip(idx.users[k]), slices.Clip(slices.Compact(idx.accessors[k]))
+		for _, p := range idx.accessors[k] {
+			idx.accPos[k] = append(idx.accPos[k], procPos[p])
+		}
+		idx.accPos[k] = slices.Clip(idx.accPos[k])
 		sem.Global = len(idx.accessors[k]) > 1
+		if users := idx.users[k]; len(users) > 0 {
+			idx.ceil[k] = users[0].Priority
+			if sem.Global {
+				idx.ceil[k] += idx.PG()
+			}
+		}
 	}
 
 	// Walk each body: match lock/unlock, extract critical sections, then
-	// file each task's outermost global and local sections. Every table
-	// is a window of one backing array sized by nSecs.
+	// file each task's outermost global and local sections, with their
+	// positions and Section 4 priorities alongside. Every table is a
+	// window of one backing array sized by nSecs.
 	all, secs := make([]CriticalSection, 0, nSecs), make([]CriticalSection, 0, nSecs)
-	pack := func(css []CriticalSection, keep func(CriticalSection) bool) []CriticalSection {
+	refs := make([]Sec, 0, nSecs)
+	pack := func(css []CriticalSection, global bool, proc ProcID) ([]CriticalSection, []Sec) {
 		lo := len(secs)
 		for _, cs := range css {
-			if keep(cs) {
-				secs = append(secs, cs)
+			if cs.Global != global || (global && !cs.Outermost) {
+				continue
 			}
+			k := semPos[cs.Sem]
+			prio := idx.ceil[k]
+			if global {
+				prio = idx.GcsPrio(k, proc)
+			}
+			secs = append(secs, cs)
+			refs = append(refs, Sec{Sem: k, Dur: cs.Duration, Prio: prio})
 		}
-		return slices.Clip(secs[lo:])
+		return slices.Clip(secs[lo:]), slices.Clip(refs[lo:])
 	}
 	for i, t := range s.Tasks {
 		lo := len(all)
@@ -475,11 +597,10 @@ func (s *System) Validate(opts ValidateOptions) error {
 		if k := slices.IndexFunc(css, isNestedGlobal); k >= 0 && idx.nested == nil {
 			idx.nested = &css[k]
 		}
-		idx.tasks[i] = taskIndex{
-			all:    css,
-			global: pack(css, func(cs CriticalSection) bool { return cs.Global && cs.Outermost }),
-			local:  pack(css, func(cs CriticalSection) bool { return !cs.Global }),
-		}
+		ti := taskIndex{all: css, wcet: t.WCET(), proc: procPos[t.Proc]}
+		ti.global, ti.gsecs = pack(css, true, t.Proc)
+		ti.local, ti.lsecs = pack(css, false, t.Proc)
+		idx.tasks[i] = ti
 	}
 
 	s.idx = idx

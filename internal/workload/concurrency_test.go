@@ -1,13 +1,14 @@
 package workload
 
 import (
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
 )
 
 // TestGenerateConcurrent proves Generate is safe to call from many
-// goroutines (each call seeds its own rand source — no shared state) and
+// goroutines (each call seeds a pooled generator it holds alone) and
 // that concurrency does not perturb the generated systems. Run under
 // `go test -race` this is the data-race gate for the campaign engine's
 // fan-out over workload generation.
@@ -83,4 +84,40 @@ func TestGenerateSpecsConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestGeneratePooledMatchesFresh: a generator taken from the pool and
+// reseeded draws exactly what a fresh rand.NewSource(seed) draws. Seeds
+// alternate, shapes vary, and systems are compared whole, derived index
+// included.
+func TestGeneratePooledMatchesFresh(t *testing.T) {
+	shapes := []func(Config) Config{
+		func(c Config) Config { return c },
+		func(c Config) Config {
+			c.NumProcs, c.TasksPerProc, c.GcsPerTask, c.LcsPerTask = 8, 8, [2]int{0, 3}, [2]int{0, 3}
+			return c
+		},
+		func(c Config) Config {
+			c.Sporadic, c.MaxJitterFrac, c.Stagger, c.Hotspot = true, 0.1, true, true
+			return c
+		},
+	}
+	for round := 0; round < 3; round++ {
+		for _, seed := range []int64{1, 2, 1, 7, 2, -3, 1 << 40} {
+			for n, shape := range shapes {
+				cfg := shape(Default(seed))
+				got, err := Generate(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := generate(cfg, rand.New(rand.NewSource(seed)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("round %d seed %d shape %d: pooled Generate differs from a fresh source", round, seed, n)
+				}
+			}
+		}
+	}
 }

@@ -11,6 +11,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strconv"
+	"sync"
 
 	"mpcp/internal/task"
 )
@@ -114,41 +117,64 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Generate builds and validates a random system from cfg. Each call uses
-// only its own rand.Rand seeded from cfg.Seed, so Generate is safe to
-// call concurrently from multiple goroutines.
+// rngs holds generators between Generate calls. Seeding a pooled
+// generator draws the same sequence as a fresh rand.NewSource(seed) and
+// saves allocating the source's state on every call.
+var rngs = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// Generate builds and validates a random system from cfg. Each call
+// draws from a generator it holds alone, seeded from cfg.Seed, so
+// Generate is safe to call concurrently from multiple goroutines.
 func Generate(cfg Config) (*task.System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rngs.Get().(*rand.Rand)
+	defer rngs.Put(rng)
+	rng.Seed(cfg.Seed)
+	return generate(cfg, rng)
+}
 
+// generate builds the system of a validated cfg from rng, seeded with
+// cfg.Seed.
+func generate(cfg Config, rng *rand.Rand) (*task.System, error) {
+	// Tasks and semaphores are carved from one array each; the ID lists
+	// are windows of one backing array.
+	nGlobal, nLocal := max(cfg.GlobalSems, 0), max(cfg.LocalSemsPerProc, 0)
+	nSems, nTasks := nGlobal+cfg.NumProcs*nLocal, cfg.NumProcs*cfg.TasksPerProc
 	sys := task.NewSystem(cfg.NumProcs)
-	var globalSems, localSems []task.SemID
-	nextSem := task.SemID(1)
-	for g := 0; g < cfg.GlobalSems; g++ {
-		sys.AddSem(&task.Semaphore{ID: nextSem, Name: fmt.Sprintf("G%d", g+1)})
-		globalSems = append(globalSems, nextSem)
-		nextSem++
+	sys.Tasks = make([]*task.Task, 0, nTasks)
+	if nSems > 0 { // a system without semaphores keeps a nil list
+		sys.Sems = make([]*task.Semaphore, 0, nSems)
 	}
-	localByProc := make([][]task.SemID, cfg.NumProcs)
-	for p := 0; p < cfg.NumProcs; p++ {
-		for l := 0; l < cfg.LocalSemsPerProc; l++ {
-			sys.AddSem(&task.Semaphore{ID: nextSem, Name: fmt.Sprintf("L%d.%d", p, l+1)})
-			localByProc[p] = append(localByProc[p], nextSem)
-			localSems = append(localSems, nextSem)
-			nextSem++
+	sems, tasks := make([]task.Semaphore, nSems), make([]task.Task, nTasks)
+	semIDs := make([]task.SemID, nSems)
+	for k := range semIDs {
+		semIDs[k] = task.SemID(k + 1)
+		name := ""
+		if l := k - nGlobal; l < 0 {
+			name = "G" + strconv.Itoa(k+1)
+		} else { // local semaphore l%nLocal+1 of processor l/nLocal
+			name = "L" + strconv.Itoa(l/nLocal) + "." + strconv.Itoa(l%nLocal+1)
 		}
+		sems[k] = task.Semaphore{ID: semIDs[k], Name: name}
+		sys.AddSem(&sems[k])
 	}
-	_ = localSems
+	globalSems := semIDs[:nGlobal]
+	localByProc := make([][]task.SemID, cfg.NumProcs)
+	for p := range localByProc {
+		lo := nGlobal + p*nLocal
+		localByProc[p] = semIDs[lo : lo+nLocal]
+	}
 
 	gcsPool := globalSems
 	if cfg.Hotspot && len(globalSems) > 0 {
 		gcsPool = globalSems[:1]
 	}
 	id := task.ID(1)
+	utils := make([]float64, cfg.TasksPerProc)
 	for p := 0; p < cfg.NumProcs; p++ {
-		utils := uuniFast(rng, cfg.TasksPerProc, cfg.UtilPerProc)
+		uuniFast(rng, utils, cfg.UtilPerProc)
 		for k := 0; k < cfg.TasksPerProc; k++ {
 			period := cfg.Periods[rng.Intn(len(cfg.Periods))]
 			wcet := int(math.Round(utils[k] * float64(period)))
@@ -181,16 +207,17 @@ func Generate(cfg Config) (*task.System, error) {
 			if jitter > period {
 				jitter = period
 			}
-			sys.AddTask(&task.Task{
+			tasks[id-1] = task.Task{
 				ID:              id,
-				Name:            fmt.Sprintf("T%d", id),
+				Name:            "T" + strconv.Itoa(int(id)),
 				Proc:            task.ProcID(p),
 				Period:          period,
 				Offset:          offset,
 				Body:            body,
 				MinInterarrival: minGap,
 				Jitter:          jitter,
-			})
+			}
+			sys.AddTask(&tasks[id-1])
 			id++
 		}
 	}
@@ -216,10 +243,10 @@ func bodyWCET(body []task.Segment) int {
 	return total
 }
 
-// uuniFast distributes total utilization among n tasks (Bini & Buttazzo's
-// UUniFast, the standard unbiased method).
-func uuniFast(rng *rand.Rand, n int, total float64) []float64 {
-	out := make([]float64, n)
+// uuniFast distributes total utilization among the len(out) tasks of out
+// (Bini & Buttazzo's UUniFast, the standard unbiased method).
+func uuniFast(rng *rand.Rand, out []float64, total float64) {
+	n := len(out)
 	sum := total
 	for i := 0; i < n-1; i++ {
 		next := sum * math.Pow(rng.Float64(), 1/float64(n-1-i))
@@ -227,7 +254,6 @@ func uuniFast(rng *rand.Rand, n int, total float64) []float64 {
 		sum = next
 	}
 	out[n-1] = sum
-	return out
 }
 
 // buildBody carves critical sections out of wcet ticks of computation:
@@ -238,7 +264,7 @@ func buildBody(rng *rand.Rand, cfg Config, wcet int, globals, locals []task.SemI
 		sem task.SemID
 		dur int
 	}
-	var sections []section
+	sections := make([]section, 0, max(cfg.GcsPerTask[1], 0)+max(cfg.LcsPerTask[1], 0))
 	pick := func(pool []task.SemID, bounds [2]int) {
 		if len(pool) == 0 || bounds[1] <= 0 {
 			return
@@ -264,15 +290,15 @@ func buildBody(rng *rand.Rand, cfg Config, wcet int, globals, locals []task.SemI
 	budget := wcet / 2
 	kept := sections[:0]
 	used := 0
-	seen := make(map[task.SemID]bool)
 	for _, s := range sections {
-		if seen[s.sem] { // a job must not relock a semaphore it holds; keep one section per semaphore
+		// A job must not relock a semaphore it holds: keep one section
+		// per semaphore.
+		if slices.ContainsFunc(kept, func(k section) bool { return k.sem == s.sem }) {
 			continue
 		}
 		if used+s.dur > budget {
 			continue
 		}
-		seen[s.sem] = true
 		used += s.dur
 		kept = append(kept, s)
 	}
@@ -283,7 +309,7 @@ func buildBody(rng *rand.Rand, cfg Config, wcet int, globals, locals []task.SemI
 	base := remaining / gaps
 	extra := remaining % gaps
 
-	var body []task.Segment
+	body := make([]task.Segment, 0, gaps+3*len(sections))
 	for i := 0; i < gaps; i++ {
 		d := base
 		if i < extra {
